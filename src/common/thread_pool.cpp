@@ -58,9 +58,10 @@ bool WorkStealingPool::Submit(Task task) {
   queued_.fetch_add(1, std::memory_order_acq_rel);
   // The gauge tracks true outstanding work (queued + executing), not raw
   // deque occupancy: a claimed-but-running task — including one stolen
-  // and in flight — must still register as load.
-  size_t depth = outstanding_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  QueueDepthGauge()->Set(static_cast<double>(depth));
+  // and in flight — must still register as load.  It moves by deltas
+  // because every pool in the process adds to it.
+  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  QueueDepthGauge()->Add(1);
   {
     // Empty critical section: pairs with the waiter's predicate check so
     // a worker deciding to sleep cannot miss this submission.
@@ -126,8 +127,8 @@ void WorkStealingPool::WorkerLoop(size_t index) {
     if (TryPopOwn(index, &task) || TrySteal(index, &task)) {
       NoteClaimed();
       task();
-      size_t left = outstanding_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      QueueDepthGauge()->Set(static_cast<double>(left));
+      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      QueueDepthGauge()->Add(-1);
       continue;
     }
     MutexLock lock(mu_);

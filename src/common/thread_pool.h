@@ -1,21 +1,19 @@
 // Work-stealing worker pool: the shared-memory data plane under
-// mrs::ThreadRunner.
+// mrs::ThreadRunner, and the handler pool of every HttpServer.
 //
-// Unlike the fixed BlockingQueue pool in common/threadpool.h (one global
-// queue, used where FIFO fairness matters, e.g. the HTTP server), this
-// pool keeps one deque per worker: a worker pops its own deque from the
-// back (LIFO, cache-warm) and, when empty, steals from the front of a
+// The pool keeps one deque per worker: a worker pops its own deque from
+// the back (LIFO, cache-warm) and, when empty, steals from the front of a
 // sibling's deque (FIFO, oldest-first — the classic Blumofe/Leiserson
 // discipline).  External submitters distribute round-robin; submissions
 // from inside a worker go to that worker's own deque.  Stealing keeps
 // all workers busy under skewed task costs (one giant map split next to
 // many tiny ones) without any central dispatcher lock on the hot path.
 //
-// Observability: the pool maintains the "mrs.pool.queue_depth" gauge
-// (true outstanding tasks: submitted but not yet finished, so a task a
-// worker is executing — or one stolen and in flight — still counts) and
-// the "mrs.pool.steals" counter in the process registry, plus
-// per-instance accessors for tests.
+// Observability: every pool adds its true outstanding tasks (submitted
+// but not yet finished, so a task a worker is executing — or one stolen
+// and in flight — still counts) to the process-wide
+// "mrs.pool.queue_depth" gauge, which therefore sums over all pools, and
+// counts steals in "mrs.pool.steals"; per-instance accessors serve tests.
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,7 @@
 #include "http/server.h"
 
-#include <poll.h>
-
 #include "common/log.h"
 #include "common/strings.h"
-#include "http/parser.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -16,102 +13,132 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(const std::string& host,
                                                       size_t num_workers) {
   MRS_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Listen(host, port));
   MRS_RETURN_IF_ERROR(listener.SetNonBlocking(true));
+  MRS_ASSIGN_OR_RETURN(Waker waker, Waker::Create());
   return std::unique_ptr<HttpServer>(
-      new HttpServer(std::move(listener), std::move(handler), num_workers));
+      new HttpServer(std::move(listener), std::move(waker), std::move(handler),
+                     num_workers));
 }
 
-HttpServer::HttpServer(TcpListener listener, Handler handler,
+HttpServer::HttpServer(TcpListener listener, Waker waker, Handler handler,
                        size_t num_workers)
     : listener_(std::move(listener)),
       handler_(std::move(handler)),
-      workers_(num_workers) {
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+      loop_(std::move(waker)),
+      pool_(num_workers) {
+  loop_.WatchFd(listener_.fd(), FdEvents{.readable = true},
+                [this](FdEvents) { OnAcceptable(); });
+  loop_thread_ = std::thread([this] { loop_.Run(); });
 }
 
 HttpServer::~HttpServer() { Shutdown(); }
 
 void HttpServer::Shutdown() {
-  bool expected = false;
-  if (!stop_.compare_exchange_strong(expected, true)) return;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Close the listener so late peers get connection-refused (retryable)
-  // instead of sitting in the accept backlog waiting on a dead server.
+  if (stop_.exchange(true)) return;
+  loop_.Stop();
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // With the loop gone this thread owns every connection.  Close the
+  // listener so late peers get connection-refused (retryable) instead of
+  // sitting in the accept backlog waiting on a dead server, and idle peers
+  // so they see EOF now.  A connection whose handler is still running keeps
+  // its fd until that handler has written its response.
   listener_.Close();
-  workers_.Shutdown();
+  std::erase_if(conns_, [](const auto& entry) {
+    return !entry.second->in_flight;
+  });
+  pool_.Shutdown();
+  conns_.clear();
 }
 
-void HttpServer::AcceptLoop() {
-  while (!stop_.load()) {
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    int n = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (n <= 0) continue;
-    Result<TcpConn> conn = listener_.Accept();
-    if (!conn.ok()) {
-      if (conn.status().code() != StatusCode::kUnavailable) {
-        MRS_LOG(kWarning, "http") << "accept: " << conn.status().ToString();
+void HttpServer::OnAcceptable() {
+  for (;;) {
+    Result<TcpConn> sock = listener_.Accept();
+    if (!sock.ok()) {
+      if (sock.status().code() != StatusCode::kUnavailable) {
+        MRS_LOG(kWarning, "http") << "accept: " << sock.status().ToString();
       }
-      continue;
+      return;
     }
-    // shared_ptr because std::function requires copyable closures.
-    auto shared = std::make_shared<TcpConn>(std::move(conn).value());
-    workers_.Submit([this, shared] { HandleConnection(std::move(*shared)); });
+    (void)sock->SetNoDelay(true);
+    int fd = sock->fd();
+    auto conn = std::make_unique<Conn>();
+    conn->sock = std::move(sock).value();
+    conns_[fd] = std::move(conn);
+    Watch(fd);
   }
 }
 
-void HttpServer::HandleConnection(TcpConn conn) {
-  (void)conn.SetNoDelay(true);
-  std::string pending;  // bytes past the current message (keep-alive)
+void HttpServer::Watch(int fd) {
+  loop_.WatchFd(fd, FdEvents{.readable = true},
+                [this, fd](FdEvents) { OnReadable(fd); });
+}
+
+void HttpServer::OnReadable(int fd) {
+  Conn& conn = *conns_.at(fd);
   char buf[16384];
-  // Serve up to 1024 keep-alive requests per connection.
-  for (int served = 0; served < 1024 && !stop_.load(); ++served) {
-    HttpRequestParser parser;
-    // Feed leftover bytes first.
-    if (!pending.empty()) {
-      Result<size_t> used = parser.Feed(pending);
-      if (!used.ok()) return;
-      pending.erase(0, *used);
-    }
-    while (!parser.Done()) {
-      // Wait for readability in short slices so Shutdown() can reclaim this
-      // worker even while a keep-alive peer stays idle.
-      pollfd pfd{conn.fd(), POLLIN, 0};
-      int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-      if (ready == 0) {
-        if (stop_.load()) return;
-        continue;
-      }
-      if (ready < 0) return;
-      Result<size_t> n = conn.Read(buf, sizeof(buf));
-      if (!n.ok() || *n == 0) return;  // peer closed or error
-      std::string_view chunk(buf, *n);
-      Result<size_t> used = parser.Feed(chunk);
-      if (!used.ok()) {
-        HttpResponse resp = HttpResponse::BadRequest(used.status().ToString());
-        resp.headers.Set("Connection", "close");
-        (void)conn.WriteAll(resp.Serialize());
-        return;
-      }
-      if (*used < chunk.size()) pending.append(chunk.substr(*used));
-    }
-
-    HttpRequest req = parser.TakeRequest();
-    bool close = false;
-    if (auto c = req.headers.Get("Connection");
-        c.has_value() && EqualsIgnoreCase(*c, "close")) {
-      close = true;
-    }
-    static obs::Counter* requests =
-        obs::Registry::Instance().GetCounter("mrs.http.server.requests");
-    static obs::Histogram* handle_seconds =
-        obs::Registry::Instance().GetHistogram("mrs.http.server.handle_seconds");
-    double handle_start = obs::TraceNowSeconds();
-    HttpResponse resp = handler_(req);
-    handle_seconds->Observe(obs::TraceNowSeconds() - handle_start);
-    requests->Inc();
-    resp.headers.Set("Connection", close ? "close" : "keep-alive");
-    if (!conn.WriteAll(resp.Serialize()).ok()) return;
-    if (close) return;
+  Result<size_t> n = conn.sock.Read(buf, sizeof(buf), /*dont_wait=*/true);
+  if (!n.ok() && n.status().code() == StatusCode::kUnavailable) return;
+  if (!n.ok() || *n == 0) {  // error or peer closed
+    Close(fd);
+    return;
   }
+  conn.pending.append(buf, *n);
+  Advance(fd);
+}
+
+void HttpServer::Advance(int fd) {
+  Conn& conn = *conns_.at(fd);
+  Result<size_t> used = conn.parser.Feed(conn.pending);
+  if (!used.ok()) {
+    HttpResponse resp = HttpResponse::BadRequest(used.status().ToString());
+    resp.headers.Set("Connection", "close");
+    // Best effort: the loop must not block on a peer that stopped reading.
+    (void)conn.sock.SetNonBlocking(true);
+    (void)conn.sock.WriteAll(resp.Serialize());
+    Close(fd);
+    return;
+  }
+  conn.pending.erase(0, *used);
+  if (!conn.parser.Done()) return;  // stay watched for the rest
+  loop_.UnwatchFd(fd);
+  conn.in_flight = true;
+  if (!pool_.Submit([this, fd, c = &conn] { Serve(fd, c); })) Close(fd);
+}
+
+void HttpServer::Close(int fd) {
+  loop_.UnwatchFd(fd);
+  conns_.erase(fd);
+}
+
+void HttpServer::Serve(int fd, Conn* conn) {
+  HttpRequest req = conn->parser.TakeRequest();
+  bool close = false;
+  if (auto c = req.headers.Get("Connection");
+      c.has_value() && EqualsIgnoreCase(*c, "close")) {
+    close = true;
+  }
+  static obs::Counter* requests =
+      obs::Registry::Instance().GetCounter("mrs.http.server.requests");
+  static obs::Histogram* handle_seconds =
+      obs::Registry::Instance().GetHistogram("mrs.http.server.handle_seconds");
+  double handle_start = obs::TraceNowSeconds();
+  HttpResponse resp = handler_(req);
+  handle_seconds->Observe(obs::TraceNowSeconds() - handle_start);
+  requests->Inc();
+  resp.headers.Set("Connection", close ? "close" : "keep-alive");
+  bool keep = conn->sock.WriteAll(resp.Serialize()).ok() && !close;
+  // Hand the connection back; a pipelined request already buffered in
+  // `pending` is dispatched at once rather than after the next POLLIN.
+  loop_.Post([this, fd, keep] {
+    Conn& back = *conns_.at(fd);
+    back.in_flight = false;
+    if (!keep) {
+      Close(fd);
+      return;
+    }
+    back.parser = HttpRequestParser();
+    Watch(fd);
+    Advance(fd);
+  });
 }
 
 }  // namespace mrs

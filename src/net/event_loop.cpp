@@ -1,21 +1,12 @@
 #include "net/event_loop.h"
 
-#include <algorithm>
+#include <cerrno>
 
 #include "common/log.h"
 
 namespace mrs {
 
-EventLoop::EventLoop() : clock_(RealClock::Instance()) {
-  Result<Waker> w = Waker::Create();
-  if (!w.ok()) {
-    MRS_LOG(kError, "loop") << "waker creation failed: "
-                            << w.status().ToString();
-  } else {
-    waker_ = std::move(w).value();
-  }
-  loop_thread_ = std::this_thread::get_id();
-}
+EventLoop::EventLoop(Waker waker) : waker_(std::move(waker)) {}
 
 EventLoop::~EventLoop() { Stop(); }
 
@@ -37,59 +28,17 @@ void EventLoop::UnwatchFd(int fd) {
   }
 }
 
-EventLoop::TimerId EventLoop::AddTimer(double delay_seconds,
-                                       std::function<void()> cb) {
-  TimerId id = next_timer_id_.fetch_add(1);
-  double deadline = clock_.Now() + std::max(0.0, delay_seconds);
-  {
-    std::lock_guard<std::mutex> lock(timers_mutex_);
-    timers_[id] = Timer{deadline, std::move(cb)};
-  }
-  waker_.Notify();
-  return id;
-}
-
-void EventLoop::CancelTimer(TimerId id) {
-  std::lock_guard<std::mutex> lock(timers_mutex_);
-  timers_.erase(id);
-}
-
 void EventLoop::Post(std::function<void()> fn) {
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lock(posted_mutex_);
+    was_empty = posted_.empty();
     posted_.push_back(std::move(fn));
   }
-  waker_.Notify();
-}
-
-int EventLoop::ComputePollTimeoutMs(double max_wait_seconds) const {
-  double wait = max_wait_seconds;
-  {
-    std::lock_guard<std::mutex> lock(
-        const_cast<std::mutex&>(timers_mutex_));
-    for (const auto& [id, timer] : timers_) {
-      wait = std::min(wait, timer.deadline - clock_.Now());
-    }
-  }
-  if (wait < 0) wait = 0;
-  return static_cast<int>(wait * 1000.0) + (wait > 0 ? 1 : 0);
-}
-
-void EventLoop::FireDueTimers() {
-  std::vector<std::function<void()>> due;
-  {
-    std::lock_guard<std::mutex> lock(timers_mutex_);
-    double now = clock_.Now();
-    for (auto it = timers_.begin(); it != timers_.end();) {
-      if (it->second.deadline <= now) {
-        due.push_back(std::move(it->second.cb));
-        it = timers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& cb : due) cb();
+  // A non-empty queue already has a wakeup byte on its way: the Post that
+  // made it non-empty wrote one, and DrainPosted() empties the queue only
+  // after the loop has consumed the pipe.
+  if (was_empty) waker_.Notify();
 }
 
 void EventLoop::DrainPosted() {
@@ -101,8 +50,7 @@ void EventLoop::DrainPosted() {
   for (auto& fn : batch) fn();
 }
 
-bool EventLoop::RunOnce(double timeout_seconds) {
-  loop_thread_ = std::this_thread::get_id();
+bool EventLoop::RunOnce() {
   if (stop_.load()) return false;
 
   // Snapshot pollfds: wakeup pipe first, then registered watchers.
@@ -118,8 +66,9 @@ bool EventLoop::RunOnce(double timeout_seconds) {
     fds.push_back(fd);
   }
 
-  int timeout_ms = ComputePollTimeoutMs(timeout_seconds);
-  int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  // No timeout: every reason to wake — fd activity, Post(), Stop() — is
+  // delivered through a watched fd or the wakeup pipe.
+  int n = ::poll(pfds.data(), pfds.size(), /*timeout=*/-1);
   if (n < 0 && errno != EINTR) {
     MRS_LOG(kError, "loop") << "poll failed: " << errno;
     return false;
@@ -127,7 +76,6 @@ bool EventLoop::RunOnce(double timeout_seconds) {
 
   if (pfds[0].revents & POLLIN) waker_.Drain();
   DrainPosted();
-  FireDueTimers();
 
   // Dispatch fd events.  A callback may unregister fds (including its
   // own), so re-check membership before each dispatch.
@@ -147,9 +95,8 @@ bool EventLoop::RunOnce(double timeout_seconds) {
 }
 
 void EventLoop::Run() {
-  loop_thread_ = std::this_thread::get_id();
-  stop_.store(false);
-  while (RunOnce(/*timeout_seconds=*/3600.0)) {
+  loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
+  while (RunOnce()) {
   }
 }
 

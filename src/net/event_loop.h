@@ -1,4 +1,4 @@
-// Poll-based event loop with pipe wakeup and timers.
+// Poll-based event loop with pipe wakeup.
 //
 // Reproduces the Mrs main-thread discipline (paper §IV-B): the main thread
 // of each master/slave runs an event loop based on poll(); it never blocks
@@ -9,15 +9,12 @@
 #include <poll.h>
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/status.h"
 #include "net/waker.h"
 
 namespace mrs {
@@ -31,22 +28,21 @@ struct FdEvents {
 class EventLoop {
  public:
   using FdCallback = std::function<void(FdEvents)>;
-  using TimerId = uint64_t;
 
-  EventLoop();
+  /// The loop polls `waker`'s read end; create it with Waker::Create() so a
+  /// pipe failure surfaces to the caller instead of yielding a loop that
+  /// cannot be woken.
+  explicit EventLoop(Waker waker);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Watch an fd; the callback fires on the loop thread.  Re-registering an
-  /// fd replaces its watcher.
+  /// fd replaces its watcher.  Safe from any thread: off the loop thread
+  /// the change is applied through Post().
   void WatchFd(int fd, FdEvents interest, FdCallback cb);
   void UnwatchFd(int fd);
-
-  /// One-shot timer; fires on the loop thread after `delay_seconds`.
-  TimerId AddTimer(double delay_seconds, std::function<void()> cb);
-  void CancelTimer(TimerId id);
 
   /// Queue a closure to run on the loop thread; wakes the loop via the
   /// pipe.  Safe from any thread.  If called from the loop thread itself
@@ -54,17 +50,15 @@ class EventLoop {
   void Post(std::function<void()> fn);
 
   /// Run until Stop() is called.  Must be called from exactly one thread.
+  /// Returns at once if Stop() already happened, even before Run().
   void Run();
-
-  /// Run at most one poll iteration (useful for tests); waits up to
-  /// `timeout_seconds` for activity.  Returns false if the loop is stopped.
-  bool RunOnce(double timeout_seconds);
 
   /// Request the loop to exit; safe from any thread.
   void Stop();
 
   bool IsInLoopThread() const {
-    return std::this_thread::get_id() == loop_thread_;
+    return std::this_thread::get_id() ==
+           loop_thread_.load(std::memory_order_acquire);
   }
 
  private:
@@ -72,18 +66,15 @@ class EventLoop {
     FdEvents interest;
     FdCallback cb;
   };
-  struct Timer {
-    double deadline;
-    std::function<void()> cb;
-  };
 
-  int ComputePollTimeoutMs(double max_wait_seconds) const;
-  void FireDueTimers();
+  /// One poll() plus dispatch; false once the loop is stopped.
+  bool RunOnce();
   void DrainPosted();
 
   Waker waker_;
   std::atomic<bool> stop_{false};
-  std::thread::id loop_thread_;
+  // Written once, by Run(); read by WatchFd/UnwatchFd on any thread.
+  std::atomic<std::thread::id> loop_thread_{};
 
   // fd watchers: only touched on the loop thread (WatchFd from other
   // threads goes through Post()).
@@ -91,12 +82,6 @@ class EventLoop {
 
   std::mutex posted_mutex_;
   std::vector<std::function<void()>> posted_;
-
-  std::mutex timers_mutex_;
-  std::map<TimerId, Timer> timers_;
-  std::atomic<TimerId> next_timer_id_{1};
-
-  const Clock& clock_;
 };
 
 }  // namespace mrs

@@ -172,9 +172,9 @@ Status TcpConn::SetNoDelay(bool enabled) const {
   return Status::Ok();
 }
 
-Result<size_t> TcpConn::Read(void* buf, size_t len) const {
+Result<size_t> TcpConn::Read(void* buf, size_t len, bool dont_wait) const {
   while (true) {
-    ssize_t n = ::read(fd_.get(), buf, len);
+    ssize_t n = ::recv(fd_.get(), buf, len, dont_wait ? MSG_DONTWAIT : 0);
     if (n >= 0) return static_cast<size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {

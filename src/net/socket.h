@@ -74,8 +74,9 @@ class TcpConn {
   Status SetNonBlocking(bool enabled) const;
   Status SetNoDelay(bool enabled) const;
 
-  /// Read up to `len` bytes.  Returns 0 on orderly EOF.
-  Result<size_t> Read(void* buf, size_t len) const;
+  /// Read up to `len` bytes.  Returns 0 on orderly EOF.  With `dont_wait`,
+  /// an empty socket yields kUnavailable instead of blocking.
+  Result<size_t> Read(void* buf, size_t len, bool dont_wait = false) const;
 
   /// Write exactly `len` bytes (loops over partial writes).
   Status WriteAll(const void* buf, size_t len) const;

@@ -31,7 +31,10 @@ void Waker::Notify() const {
 
 void Waker::Drain() const {
   uint8_t buf[256];
-  while (::read(read_end_.get(), buf, sizeof(buf)) > 0) {
+  // A short read means the pipe is empty; stop without the extra read()
+  // that would only report EAGAIN.
+  while (::read(read_end_.get(), buf, sizeof(buf)) ==
+         static_cast<ssize_t>(sizeof(buf))) {
   }
 }
 

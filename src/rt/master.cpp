@@ -17,6 +17,11 @@ namespace mrs {
 namespace {
 double NowSeconds() { return RealClock::Instance().Now(); }
 
+/// RPC handler threads.  A get_task long poll holds one for up to
+/// long_poll_seconds, so this bounds how many slaves can wait at once
+/// without delaying other RPCs.
+constexpr size_t kRpcWorkers = 16;
+
 /// Process-wide mirrors of the scheduler counters, so a live master's
 /// activity is visible at /metrics without calling stats().
 struct MasterCounters {
@@ -133,7 +138,7 @@ Status Master::Init() {
           dispatcher_.MakeHttpHandler(
               "/RPC2", obs::MakeObsHandler([this] { return StatusJson(); },
                                            nullptr)),
-          config_.rpc_workers));
+          kRpcWorkers));
   rpc_retries_base_ = RpcRetryCount();
   fetch_retries_base_ = FetchRetryCount();
   monitor_ = std::thread([this] { MonitorLoop(); });

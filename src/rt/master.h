@@ -90,7 +90,6 @@ class Master {
     double monitor_interval = 0.2;
     int max_task_attempts = 4;
     double long_poll_seconds = 0.25;
-    size_t rpc_workers = 16;
     bool enable_affinity = true;
     /// Probe a signing-in slave's data server (GET /status) before
     /// admitting it to the roster; a slave whose data plane is unreachable

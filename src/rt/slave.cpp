@@ -162,12 +162,17 @@ void Slave::PingLoop() {
   const int log_threshold = std::max(1, config_.ping_failure_log_threshold);
   double interval = base_interval;
   int consecutive_failures = 0;
-  while (!stop_.load()) {
-    // Sleep in short slices so Stop() takes effect promptly.
-    for (double slept = 0; slept < interval && !stop_.load(); slept += 0.05) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (true) {
+    {
+      auto deadline = std::chrono::steady_clock::now() +
+                      std::chrono::duration_cast<
+                          std::chrono::steady_clock::duration>(
+                          std::chrono::duration<double>(interval));
+      MutexLock lock(ping_mutex_);
+      while (!stop_.load() && ping_cv_.WaitUntil(ping_mutex_, deadline)) {
+      }
+      if (stop_.load()) return;
     }
-    if (stop_.load()) return;
     if (InPingDropWindow()) continue;
     Result<XmlRpcValue> r = ping_rpc_->Call(
         "ping", XmlRpcArray{XmlRpcValue(static_cast<int64_t>(id_))});
@@ -193,9 +198,19 @@ Slave::~Slave() {
   if (data_server_) data_server_->Shutdown();
 }
 
+void Slave::Stop() {
+  {
+    // Under the mutex, so PingLoop cannot miss it between its stop check
+    // and its wait.
+    MutexLock lock(ping_mutex_);
+    stop_.store(true);
+  }
+  ping_cv_.NotifyAll();
+}
+
 void Slave::Crash() {
   crashed_.store(true);
-  stop_.store(true);
+  Stop();
   if (data_server_) data_server_->Shutdown();
 }
 

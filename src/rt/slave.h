@@ -105,8 +105,9 @@ class Slave {
   /// called.  Returns the loop's exit status.
   Status Run();
 
-  /// Ask the loop to exit (safe from other threads).
-  void Stop() { stop_.store(true); }
+  /// Ask the loop to exit and wake the ping thread (safe from other
+  /// threads).
+  void Stop();
 
   /// Graceful retirement (safe from other threads): the main loop sends
   /// the `drain` RPC once, keeps serving its buckets, and exits when the
@@ -159,6 +160,9 @@ class Slave {
   // to the master.
   std::unique_ptr<XmlRpcClient> ping_rpc_;
   std::thread ping_thread_;
+  // PingLoop sleeps on ping_cv_ between beats; Stop() notifies it.
+  Mutex ping_mutex_;
+  CondVar ping_cv_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> crashed_{false};
   std::atomic<bool> drain_requested_{false};

@@ -5,6 +5,7 @@
 #include <poll.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -239,9 +240,6 @@ class HttpIntegration : public ::testing::Test {
     auto server = HttpServer::Start(
         "127.0.0.1", 0,
         [this](const HttpRequest& req) { return Handle(req); },
-        // Enough workers that pool tests can hold several keep-alive
-        // connections open at once (each occupies a worker for its
-        // lifetime) without starving the next dial.
         /*num_workers=*/6);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
@@ -433,6 +431,93 @@ TEST_F(HttpIntegration, PooledHttpFetchDialsOncePerPeer) {
   }
   EXPECT_EQ(Connects() - before, 1);
   ConnectionPool::Instance().Clear();
+}
+
+// ---- Connection liveness ------------------------------------------------------
+
+// Read one response off `conn`, starting from leftover bytes in `*pending`
+// (updated with whatever arrives past the end of this response).  Fails
+// instead of blocking past a 5 s deadline.
+Result<HttpResponse> ReadResponseWithin5s(const TcpConn& conn,
+                                          std::string* pending) {
+  HttpResponseParser parser;
+  Stopwatch watch;
+  char buf[4096];
+  while (true) {
+    MRS_ASSIGN_OR_RETURN(size_t used, parser.Feed(*pending));
+    pending->erase(0, used);
+    if (parser.Done()) return parser.TakeResponse();
+    int left_ms = static_cast<int>((5.0 - watch.ElapsedSeconds()) * 1000);
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    if (left_ms <= 0 || ::poll(&pfd, 1, left_ms) <= 0) {
+      return DeadlineExceededError("no response within 5 s");
+    }
+    MRS_ASSIGN_OR_RETURN(size_t n, conn.Read(buf, sizeof(buf)));
+    if (n == 0) return UnavailableError("server closed the connection");
+    pending->append(buf, n);
+  }
+}
+
+TEST(HttpLiveness, IdlePooledPeerDoesNotStarveTheNextClient) {
+  // One handler thread, and client A's keep-alive connection left idle in
+  // its pool: client B must still be answered.  A server that pins a
+  // worker to each connection leaves B's request unread for as long as A
+  // stays connected.
+  auto server = HttpServer::Start(
+      "127.0.0.1", 0,
+      [](const HttpRequest& req) { return HttpResponse::Ok(req.target); },
+      /*num_workers=*/1);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  SocketAddr addr = (*server)->addr();
+  ConnectionPool client_a;
+  ConnectionPool client_b;
+  ASSERT_TRUE(client_a.Get(addr, "/a").ok());
+  ASSERT_EQ(client_a.IdleCount(addr), 1u);
+
+  std::future<Result<HttpResponse>> b = std::async(
+      std::launch::async, [&] { return client_b.Get(addr, "/b"); });
+  EXPECT_EQ(b.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "B's request went unanswered while A's connection sat idle";
+  client_a.Clear();  // frees a pinned worker, so a failure cannot hang
+  Result<HttpResponse> resp = b.get();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->body, "/b");
+}
+
+TEST_F(HttpIntegration, PipelinedRequestsAreAnsweredInOrder) {
+  auto conn = TcpConn::Connect(server_->addr());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  HttpRequest first;
+  first.method = "POST";
+  first.target = "/echo";
+  first.body = "one";
+  HttpRequest second;
+  second.method = "POST";
+  second.target = "/echo";
+  second.body = "two";
+  ASSERT_TRUE(conn->WriteAll(first.Serialize() + second.Serialize()).ok());
+
+  std::string pending;
+  auto a = ReadResponseWithin5s(*conn, &pending);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->body, "POST:one");
+  auto b = ReadResponseWithin5s(*conn, &pending);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->body, "POST:two");
+  EXPECT_TRUE(pending.empty());
+}
+
+TEST_F(HttpIntegration, MalformedRequestGets400AndClose) {
+  auto conn = TcpConn::Connect(server_->addr());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(conn->WriteAll("NOT-HTTP\r\n\r\n").ok());
+  std::string pending;
+  auto resp = ReadResponseWithin5s(*conn, &pending);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status_code, 400);
+  EXPECT_EQ(resp->headers.Get("Connection").value_or(""), "close");
+  auto rest = ReadResponseWithin5s(*conn, &pending);
+  EXPECT_FALSE(rest.ok());  // the server closed the connection
 }
 
 // ---- Keep-alive reconnect race ---------------------------------------------

@@ -75,8 +75,11 @@ struct PiCase {
   PiEngine engine;
 };
 
+// The implementation name is a std::string, not a const char*, so gtest
+// prints its value rather than a load address and the test names stay the
+// same from one run to the next.
 class PiEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, PiEngine>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, PiEngine>> {};
 
 TEST_P(PiEquivalence, MatchesBypassExactly) {
   const auto& [impl, engine] = GetParam();
@@ -117,9 +120,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("serial", "mockparallel",
                                          "masterslave"),
                        ::testing::Values(PiEngine::kNative, PiEngine::kVm)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, PiEngine>>&
+    [](const ::testing::TestParamInfo<std::tuple<std::string, PiEngine>>&
            info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::string(PiEngineName(std::get<1>(info.param)));
     });
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 
 #include "net/event_loop.h"
@@ -97,8 +98,14 @@ TEST(Waker, NotifyWakesAndDrainClears) {
   EXPECT_EQ(::poll(&pfd, 1, 0), 0);  // drained: no longer readable
 }
 
+Waker NewWaker() {
+  Result<Waker> waker = Waker::Create();
+  EXPECT_TRUE(waker.ok()) << waker.status().ToString();
+  return std::move(waker).value();
+}
+
 TEST(EventLoop, PostRunsOnLoopThread) {
-  EventLoop loop;
+  EventLoop loop(NewWaker());
   std::atomic<bool> ran{false};
   loop.Post([&] {
     ran = true;
@@ -109,7 +116,7 @@ TEST(EventLoop, PostRunsOnLoopThread) {
 }
 
 TEST(EventLoop, PostFromOtherThread) {
-  EventLoop loop;
+  EventLoop loop(NewWaker());
   std::atomic<int> value{0};
   std::thread poster([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -123,31 +130,39 @@ TEST(EventLoop, PostFromOtherThread) {
   EXPECT_EQ(value.load(), 42);
 }
 
-TEST(EventLoop, TimerFiresAfterDelay) {
-  EventLoop loop;
-  Stopwatch watch;
-  double fired_at = -1;
-  loop.AddTimer(0.05, [&] {
-    fired_at = watch.ElapsedSeconds();
-    loop.Stop();
-  });
-  loop.Run();
-  EXPECT_GE(fired_at, 0.045);
-  EXPECT_LT(fired_at, 2.0);
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // A server that is shut down right after starting may call Stop() before
+  // its loop thread has entered Run(); Run() must then return at once
+  // instead of sleeping in poll() with nobody left to wake it.
+  EventLoop loop(NewWaker());
+  loop.Stop();
+  std::future<void> run =
+      std::async(std::launch::async, [&] { loop.Run(); });
+  EXPECT_EQ(run.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  loop.Stop();  // frees a stuck Run() so a failure cannot hang the test
 }
 
-TEST(EventLoop, CancelledTimerNeverFires) {
-  EventLoop loop;
-  std::atomic<bool> fired{false};
-  EventLoop::TimerId id = loop.AddTimer(0.02, [&] { fired = true; });
-  loop.CancelTimer(id);
-  loop.AddTimer(0.08, [&] { loop.Stop(); });
-  loop.Run();
-  EXPECT_FALSE(fired.load());
+TEST(EventLoop, WatchFdFromOtherThreadWhileRunning) {
+  EventLoop loop(NewWaker());
+  std::thread runner([&] { loop.Run(); });
+  Waker peer = NewWaker();
+  std::atomic<bool> readable{false};
+  loop.WatchFd(peer.read_fd(), FdEvents{.readable = true},
+               [&](FdEvents ev) {
+                 EXPECT_TRUE(loop.IsInLoopThread());
+                 if (!ev.readable) return;
+                 readable = true;
+                 peer.Drain();
+                 loop.Stop();
+               });
+  EXPECT_FALSE(loop.IsInLoopThread());
+  peer.Notify();
+  runner.join();
+  EXPECT_TRUE(readable.load());
 }
 
 TEST(EventLoop, FdReadableCallbackFires) {
-  EventLoop loop;
+  EventLoop loop(NewWaker());
   auto waker = Waker::Create();
   ASSERT_TRUE(waker.ok());
   std::atomic<bool> readable{false};
@@ -169,7 +184,7 @@ TEST(EventLoop, FdReadableCallbackFires) {
 }
 
 TEST(EventLoop, UnwatchStopsCallbacks) {
-  EventLoop loop;
+  EventLoop loop(NewWaker());
   auto waker = Waker::Create();
   ASSERT_TRUE(waker.ok());
   std::atomic<int> calls{0};
@@ -178,10 +193,11 @@ TEST(EventLoop, UnwatchStopsCallbacks) {
                  ++calls;
                  loop.UnwatchFd(waker->read_fd());
                  // Leave the byte in the pipe: without unwatch this would
-                 // fire continuously.
+                 // fire continuously.  Stop two iterations later, so a
+                 // second callback would have had its chance to run.
+                 loop.Post([&] { loop.Post([&] { loop.Stop(); }); });
                });
   waker->Notify();
-  loop.AddTimer(0.1, [&] { loop.Stop(); });
   loop.Run();
   EXPECT_EQ(calls.load(), 1);
 }

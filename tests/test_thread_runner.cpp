@@ -120,6 +120,38 @@ TEST(WorkStealingPool, QueueDepthGaugeTracksOutstandingTasks) {
   EXPECT_EQ(gauge->value(), 0);
 }
 
+TEST(WorkStealingPool, QueueDepthGaugeSumsOverPools) {
+  // Every HttpServer owns a pool next to ThreadRunner's, so the process
+  // gauge must be the sum over pools, not the last pool to write it.
+  obs::Gauge* gauge =
+      obs::Registry::Instance().GetGauge("mrs.pool.queue_depth");
+  double base = gauge->value();
+  std::atomic<bool> release_first{false}, release_second{false};
+  std::atomic<int> running{0};
+  WorkStealingPool first(1);
+  WorkStealingPool second(1);
+  ASSERT_TRUE(first.Submit([&] {
+    running.fetch_add(1);
+    SpinUntil(release_first);
+  }));
+  ASSERT_TRUE(second.Submit([&] {
+    running.fetch_add(1);
+    SpinUntil(release_second);
+  }));
+  while (running.load() < 2) std::this_thread::yield();
+  // Each pool's single worker is pinned, so these two stay queued: first
+  // holds 1 running + 2 queued, second 1 running.
+  ASSERT_TRUE(first.Submit([] {}));
+  ASSERT_TRUE(first.Submit([] {}));
+  EXPECT_EQ(gauge->value() - base, 4);
+  release_first.store(true, std::memory_order_release);
+  first.Shutdown();
+  EXPECT_EQ(gauge->value() - base, 1);
+  release_second.store(true, std::memory_order_release);
+  second.Shutdown();
+  EXPECT_EQ(gauge->value() - base, 0);
+}
+
 TEST(WorkStealingPool, TasksSubmittedFromWorkersRun) {
   WorkStealingPool pool(2);
   std::atomic<int> ran{0};
