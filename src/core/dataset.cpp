@@ -171,13 +171,22 @@ Status DataSet::rejected_status() const {
   return rejected_status_;
 }
 
-void DataSet::EvictAll() {
-  MutexLock lock(mutex_);
-  for (Bucket& b : grid_) b.Evict();
-  for (int s = 0; s < num_sources_; ++s) {
-    MemoryBudget::Process().Release(row_charged_[s]);
-    row_charged_[s] = 0;
+void DataSet::Discard() {
+  std::vector<SpillRun> dead_runs;
+  {
+    MutexLock lock(mutex_);
+    for (Bucket& b : grid_) {
+      b.Evict();
+      for (SpillRun& run : b.TakeSpillRuns()) {
+        dead_runs.push_back(std::move(run));
+      }
+    }
+    for (int s = 0; s < num_sources_; ++s) {
+      MemoryBudget::Process().Release(row_charged_[s]);
+      row_charged_[s] = 0;
+    }
   }
+  for (const SpillRun& run : dead_runs) RemoveSpillRun(run);
 }
 
 }  // namespace mrs

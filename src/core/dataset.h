@@ -135,9 +135,9 @@ class DataSet {
     file_paths_ = std::move(paths);
   }
 
-  /// Drop all in-memory records, keeping urls (Job::Discard drops
-  /// everything).
-  void EvictAll();
+  /// Drop all in-memory records (keeping urls) and delete every spill run
+  /// file of the grid — the dataset's storage is released for good.
+  void Discard();
 
  private:
   int GridIndex(int source, int split) const {

@@ -6,7 +6,6 @@
 #include "core/program.h"
 #include "fs/file_io.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rng/mt19937_64.h"
 
 namespace mrs {
@@ -57,27 +56,15 @@ Status MockParallelRunner::Compute(const DataSetPtr& dataset) {
   // implementations it is nondeterministic), and running them shuffled —
   // but reproducibly — flushes out such bugs during debugging.
   for (int source : ShuffledTaskOrder(*program_, *dataset)) {
-    if (!dataset->TryClaimTask(source)) continue;
-    obs::ScopedSpan span(dataset->options().op_name,
-                         dataset->kind() == DataSetKind::kMap ? "map"
-                                                              : "reduce");
-    span.set_task(dataset->id(), source);
-    TaskSpillContext spill;
-    const TaskSpillContext* spill_ptr = nullptr;
-    if (MemoryBudget::Process().active()) {
-      std::string dir =
-          JoinPath(ds_dir, "spill_t" + std::to_string(source) + "_a" +
-                               std::to_string(++spill_attempt_));
-      if (EnsureDir(dir).ok()) {
-        spill.dir = std::move(dir);
-        spill.id_prefix = std::to_string(dataset->id()) + "/" +
-                          std::to_string(source);
-        spill.budget = &MemoryBudget::Process();
-        spill_ptr = &spill;
-      }
+    // A task that failed in an earlier Wait runs again.
+    if (dataset->task_state(source) == TaskState::kFailed) {
+      dataset->ResetTask(source);
     }
-    Result<std::vector<Bucket>> row =
-        RunTaskOnDataSet(*program_, *dataset, source, LocalFetch, spill_ptr);
+    if (!dataset->TryClaimTask(source)) continue;
+    Result<std::vector<Bucket>> row = ExecuteTask(
+        *program_, TaskSpec::For(*dataset, source),
+        TaskInput::Column(*dataset->input(), source),
+        TaskEnv{.name = "mock"});
     if (!row.ok()) {
       dataset->set_task_state(source, TaskState::kFailed);
       return row.status();
@@ -103,7 +90,7 @@ Status MockParallelRunner::Compute(const DataSetPtr& dataset) {
 
 void MockParallelRunner::Discard(const DataSetPtr& dataset) {
   RemoveTree(JoinPath(tmpdir_, "dataset_" + std::to_string(dataset->id())));
-  dataset->EvictAll();
+  Runner::Discard(dataset);
 }
 
 }  // namespace mrs

@@ -14,7 +14,6 @@
 // actual concurrency, use ThreadRunner.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "core/runner.h"
@@ -43,9 +42,6 @@ class MockParallelRunner final : public Runner {
 
   MapReduce* program_;
   std::string tmpdir_;
-  // Distinguishes spill directories across task re-executions so a rerun
-  // never overwrites run files a stale bucket still references.
-  uint64_t spill_attempt_ = 0;
 };
 
 }  // namespace mrs

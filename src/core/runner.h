@@ -42,9 +42,11 @@ class Runner {
   /// Implementation name ("serial", "mockparallel", "masterslave").
   virtual std::string name() const = 0;
 
-  /// Called when the program is done with a dataset; runners may release
-  /// persisted intermediate files.
-  virtual void Discard(const DataSetPtr& dataset) { dataset->EvictAll(); }
+  /// Called when the program is done with a dataset: drops its records and
+  /// deletes its spill runs (every runner, so run files never outlive
+  /// their dataset).  Runners may also release persisted intermediate
+  /// files.
+  virtual void Discard(const DataSetPtr& dataset) { dataset->Discard(); }
 };
 
 }  // namespace mrs

@@ -2,7 +2,6 @@
 
 #include "core/program.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace mrs {
 
@@ -18,27 +17,15 @@ Status SerialRunner::Compute(const DataSetPtr& dataset) {
   static obs::Counter* tasks =
       obs::Registry::Instance().GetCounter("mrs.serial.tasks");
   for (int source = 0; source < dataset->num_sources(); ++source) {
-    if (!dataset->TryClaimTask(source)) continue;
-    obs::ScopedSpan span(dataset->options().op_name,
-                         dataset->kind() == DataSetKind::kMap ? "map"
-                                                              : "reduce");
-    span.set_task(dataset->id(), source);
-    TaskSpillContext spill;
-    const TaskSpillContext* spill_ptr = nullptr;
-    if (MemoryBudget::Process().active()) {
-      Result<std::string> dir = NewSpillDir(
-          "serial_ds" + std::to_string(dataset->id()) + "_t" +
-          std::to_string(source));
-      if (dir.ok()) {
-        spill.dir = *std::move(dir);
-        spill.id_prefix = std::to_string(dataset->id()) + "/" +
-                          std::to_string(source);
-        spill.budget = &MemoryBudget::Process();
-        spill_ptr = &spill;
-      }
+    // A task that failed in an earlier Wait runs again.
+    if (dataset->task_state(source) == TaskState::kFailed) {
+      dataset->ResetTask(source);
     }
-    Result<std::vector<Bucket>> row =
-        RunTaskOnDataSet(*program_, *dataset, source, LocalFetch, spill_ptr);
+    if (!dataset->TryClaimTask(source)) continue;
+    Result<std::vector<Bucket>> row = ExecuteTask(
+        *program_, TaskSpec::For(*dataset, source),
+        TaskInput::Column(*dataset->input(), source),
+        TaskEnv{.name = "serial"});
     if (!row.ok()) {
       dataset->set_task_state(source, TaskState::kFailed);
       return row.status();

@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "fs/file_io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ser/record.h"
 
 namespace mrs {
@@ -34,7 +35,7 @@ Result<std::string> LocalFetch(const std::string& url) {
     return ReadFileToString(url.substr(7));
   }
   if (StartsWith(url, "text+file://")) {
-    // Handled by LoadTaskInput; raw content here.
+    // Handled by FetchUrlRecords; raw content here.
     return ReadFileToString(url.substr(12));
   }
   return InvalidArgumentError("LocalFetch cannot resolve url: " + url);
@@ -75,39 +76,78 @@ std::string RunFilePath(const TaskSpillContext& sc, int split, size_t seq) {
 std::string RunFrameId(const TaskSpillContext& sc, int split) {
   return sc.id_prefix + "/" + std::to_string(split);
 }
+
+/// Move one input bucket's records out, fetching them when the bucket is
+/// only a url and reading them back when it spilled.
+Result<std::vector<KeyValue>> TakeRecords(Bucket& b, const UrlFetcher& fetch) {
+  if (!b.spilled() && !b.loaded() && !b.url().empty()) {
+    return FetchUrlRecords(b.url(), fetch);
+  }
+  MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
+  return std::move(*b.mutable_records());
+}
 }  // namespace
 
-Result<std::vector<KeyValue>> LoadTaskInput(
-    const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch) {
-  std::vector<KeyValue> out;
-  for (const TaskInputPart& part : parts) {
-    if (part.inline_records) {
-      out.insert(out.end(), part.records.begin(), part.records.end());
+TaskSpec TaskSpec::For(const DataSet& ds, int source) {
+  TaskSpec spec;
+  spec.kind = ds.kind();
+  spec.options = ds.options();
+  spec.dataset_id = ds.id();
+  spec.source = source;
+  spec.num_splits = ds.num_splits();
+  return spec;
+}
+
+TaskInput TaskInput::Column(const DataSet& in, int split) {
+  TaskInput input;
+  if (in.kind() == DataSetKind::kFile) {
+    Bucket b(0, split);
+    b.set_url("text+file://" + in.file_paths().at(split));
+    input.column.push_back(std::move(b));
+    return input;
+  }
+  input.column.reserve(static_cast<size_t>(in.num_sources()));
+  for (int s = 0; s < in.num_sources(); ++s) {
+    input.column.push_back(in.bucket(s, split));
+  }
+  return input;
+}
+
+TaskInput TaskInput::Parts(const std::vector<TaskInputPart>& parts) {
+  TaskInput input;
+  input.column.reserve(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Bucket b(static_cast<int>(i), 0);
+    if (parts[i].inline_records) {
+      *b.mutable_records() = parts[i].records;
+      b.MarkLoaded();
     } else {
-      MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                           FetchUrlRecords(part.url, fetch));
+      b.set_url(parts[i].url);
+    }
+    input.column.push_back(std::move(b));
+  }
+  return input;
+}
+
+TaskInput TaskInput::Inline(std::vector<KeyValue> records) {
+  Bucket b;
+  *b.mutable_records() = std::move(records);
+  b.MarkLoaded();
+  TaskInput input;
+  input.column.push_back(std::move(b));
+  return input;
+}
+
+Result<std::vector<KeyValue>> TaskInput::Load(const UrlFetcher& fetch) && {
+  std::vector<KeyValue> out;
+  for (Bucket& b : column) {
+    MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs, TakeRecords(b, fetch));
+    if (out.empty()) {
+      out = std::move(recs);
+    } else {
       out.insert(out.end(), std::make_move_iterator(recs.begin()),
                  std::make_move_iterator(recs.end()));
     }
-  }
-  return out;
-}
-
-Result<std::vector<KeyValue>> GatherInputRecords(DataSet& input_ds, int split,
-                                                 const UrlFetcher& fetch) {
-  if (split < 0 || split >= input_ds.num_splits()) {
-    return OutOfRangeError("input split out of range");
-  }
-  if (input_ds.kind() == DataSetKind::kFile) {
-    const std::string& path = input_ds.file_paths().at(split);
-    MRS_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
-    return LinesToRecords(raw);
-  }
-  std::vector<KeyValue> out;
-  for (int s = 0; s < input_ds.num_sources(); ++s) {
-    Bucket& b = input_ds.bucket(s, split);
-    MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
-    out.insert(out.end(), b.records().begin(), b.records().end());
   }
   return out;
 }
@@ -173,9 +213,6 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const TaskSpillContext* spill) {
   std::string op = options.op_name.empty() ? "map" : options.op_name;
   MRS_ASSIGN_OR_RETURN(MapFn fn, program.FindMap(op));
-  // Make the operation's broadcast delta (iterative mode) visible to the
-  // map function and any combiner invocation inside this task.
-  BroadcastScope broadcast_scope(options.broadcast.get());
   ReduceFn combiner;
   if (options.use_combiner) {
     MRS_ASSIGN_OR_RETURN(combiner, FindCombiner(program, options));
@@ -266,7 +303,6 @@ Result<std::vector<Bucket>> ReduceMergedSources(
     const TaskSpillContext* spill) {
   std::string op = options.op_name.empty() ? "reduce" : options.op_name;
   MRS_ASSIGN_OR_RETURN(ReduceFn fn, program.FindReduce(op));
-  BroadcastScope broadcast_scope(options.broadcast.get());
 
   const bool spilling = spill != nullptr && spill->enabled();
   std::vector<Bucket> row;
@@ -345,130 +381,123 @@ Result<std::vector<Bucket>> ReduceMergedSources(
   return row;
 }
 
-Result<std::vector<Bucket>> RunReduceTask(MapReduce& program,
-                                          const DataSetOptions& options,
-                                          int num_splits,
-                                          std::vector<KeyValue> input,
-                                          const TaskSpillContext* spill) {
-  if (spill != nullptr && spill->enabled()) {
-    std::stable_sort(input.begin(), input.end(), KeyValueLess);
-    std::vector<std::unique_ptr<MergeSource>> sources;
-    sources.push_back(std::make_unique<VectorSource>(std::move(input)));
-    return ReduceMergedSources(program, options, num_splits,
-                               std::move(sources), spill);
-  }
-  std::string op = options.op_name.empty() ? "reduce" : options.op_name;
-  MRS_ASSIGN_OR_RETURN(ReduceFn fn, program.FindReduce(op));
-  BroadcastScope broadcast_scope(options.broadcast.get());
-  MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> reduced,
-                       SortGroupApply(std::move(input), fn));
-
-  std::vector<Bucket> row;
-  row.reserve(num_splits);
-  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-  for (KeyValue& kv : reduced) {
-    int p = ResolvePartition(program, kv.key, num_splits, "RunReduceTask");
-    row[static_cast<size_t>(p)].Append(std::move(kv));
-  }
-  for (Bucket& b : row) b.MarkLoaded();
-  return row;
-}
-
-Result<std::vector<Bucket>> RunTask(MapReduce& program, DataSetKind kind,
-                                    const DataSetOptions& options,
-                                    int num_splits, std::vector<KeyValue> input,
-                                    const TaskSpillContext* spill) {
-  switch (kind) {
-    case DataSetKind::kMap:
-      return RunMapTask(program, options, num_splits, input, spill);
-    case DataSetKind::kReduce:
-      return RunReduceTask(program, options, num_splits, std::move(input),
-                           spill);
-    case DataSetKind::kLocal:
-    case DataSetKind::kFile:
-      return InvalidArgumentError("source datasets have no tasks to run");
-  }
-  return InternalError("unknown dataset kind");
-}
-
+namespace {
+/// One sorted MergeSource per input bucket (in column order), so the stable
+/// merge equals a stable_sort of the concatenated input.  With an enabled
+/// spill context, a url-backed bucket is staged as a sorted run, appended
+/// to *staged for the caller to delete after the merge.
 Result<std::vector<std::unique_ptr<MergeSource>>> BuildColumnMergeSources(
-    const std::vector<Bucket*>& column, const UrlFetcher& fetch) {
+    std::vector<Bucket>& column, const UrlFetcher& fetch,
+    const TaskSpillContext* spill, std::vector<SpillRun>* staged) {
+  const bool spilling = spill != nullptr && spill->enabled();
   std::vector<std::unique_ptr<MergeSource>> sources;
-  for (Bucket* b : column) {
-    bool all_sorted = b->spilled();
-    for (const SpillRun& run : b->spill_runs()) all_sorted &= run.sorted;
+  for (size_t i = 0; i < column.size(); ++i) {
+    Bucket& b = column[i];
+    bool all_sorted = b.spilled();
+    for (const SpillRun& run : b.spill_runs()) all_sorted &= run.sorted;
     if (all_sorted) {
       // Stream each sorted run straight from disk.  Runs join in write
       // order; equal records are byte-identical (multiset semantics), so
       // source order only matters for determinism, which index tie-break
       // in the merger provides.
-      for (const SpillRun& run : b->spill_runs()) {
+      for (const SpillRun& run : b.spill_runs()) {
         sources.push_back(std::make_unique<SpillRunSource>(run));
       }
       continue;
     }
-    MRS_RETURN_IF_ERROR(b->EnsureLoaded(fetch));
-    std::vector<KeyValue> recs = b->records();
+    // Anything else — records in memory, a url, FIFO runs (never reduce
+    // input in practice) — is sorted in memory.
+    const bool remote = !b.spilled() && !b.loaded() && !b.url().empty();
+    MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs, TakeRecords(b, fetch));
     std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
+    if (spilling && remote) {
+      // Under a budget a fetched bucket goes to disk as a sorted run before
+      // the next one is fetched, so the column is never resident at once.
+      std::string seq = std::to_string(i);
+      MRS_ASSIGN_OR_RETURN(
+          SpillRun run,
+          WriteSpillRun(JoinPath(spill->dir, "input_run" + seq + ".mrsk"),
+                        spill->id_prefix + "/in" + seq, recs,
+                        /*sorted=*/true));
+      staged->push_back(run);
+      sources.push_back(std::make_unique<SpillRunSource>(std::move(run)));
+      continue;
+    }
     sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
-    if (b->spilled()) b->Evict();  // return FIFO-run buckets to disk-backed
   }
   return sources;
 }
+}  // namespace
 
-Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
-                                             int split, const UrlFetcher& fetch,
-                                             const TaskSpillContext* spill) {
-  DataSet& in = *ds.input();
-  if (ds.kind() == DataSetKind::kReduce && in.kind() != DataSetKind::kFile) {
-    bool any_spilled = false;
-    for (int s = 0; s < in.num_sources(); ++s) {
-      any_spilled |= in.bucket(s, split).spilled();
-    }
-    if (any_spilled || (spill != nullptr && spill->enabled())) {
-      std::vector<Bucket*> column;
-      column.reserve(static_cast<size_t>(in.num_sources()));
-      for (int s = 0; s < in.num_sources(); ++s) {
-        column.push_back(&in.bucket(s, split));
-      }
-      MRS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<MergeSource>> sources,
-                           BuildColumnMergeSources(column, fetch));
-      return ReduceMergedSources(program, ds.options(), ds.num_splits(),
-                                 std::move(sources), spill);
-    }
+Status RunUserCode(const DataSetOptions& options,
+                   const std::function<Status()>& body) {
+  // Make the operation's broadcast delta (iterative mode) visible to every
+  // user function it runs, combiners included.
+  BroadcastScope broadcast_scope(options.broadcast.get());
+  // User code may run on a pool worker or a slave's executor: an escaped
+  // exception must fail the task, not terminate the process.
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    return InternalError(std::string("uncaught exception in user code: ") +
+                         e.what());
+  } catch (...) {
+    return InternalError("uncaught non-standard exception in user code");
   }
-  MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> input,
-                       GatherInputRecords(in, split, fetch));
-  return RunTask(program, ds.kind(), ds.options(), ds.num_splits(),
-                 std::move(input), spill);
 }
 
-Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
-                                             DataSetKind kind,
-                                             const DataSetOptions& options,
-                                             int num_splits,
-                                             std::vector<Bucket> column,
-                                             const UrlFetcher& fetch,
-                                             const TaskSpillContext* spill) {
-  if (kind == DataSetKind::kReduce) {
-    bool any_spilled = false;
-    for (const Bucket& b : column) any_spilled |= b.spilled();
-    if (any_spilled || (spill != nullptr && spill->enabled())) {
-      std::vector<Bucket*> ptrs;
-      ptrs.reserve(column.size());
-      for (Bucket& b : column) ptrs.push_back(&b);
-      MRS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<MergeSource>> sources,
-                           BuildColumnMergeSources(ptrs, fetch));
-      return ReduceMergedSources(program, options, num_splits,
-                                 std::move(sources), spill);
+Result<std::vector<Bucket>> ExecuteTask(MapReduce& program,
+                                        const TaskSpec& spec, TaskInput input,
+                                        const TaskEnv& env) {
+  if (spec.kind != DataSetKind::kMap && spec.kind != DataSetKind::kReduce) {
+    return InvalidArgumentError("source datasets have no tasks to run");
+  }
+  obs::ScopedSpan span(spec.options.op_name,
+                       spec.kind == DataSetKind::kMap ? "map" : "reduce");
+  span.set_task(spec.dataset_id, spec.source, spec.attempt);
+
+  // Out-of-core execution: each task attempt gets its own spill directory,
+  // so a rerun never overwrites run files a stale bucket still references.
+  // Running without one would break the memory bound the task was given.
+  TaskSpillContext spill;
+  if (MemoryBudget::Process().active()) {
+    MRS_ASSIGN_OR_RETURN(
+        spill.dir, NewSpillDir(env.name + "_ds" +
+                               std::to_string(spec.dataset_id) + "_t" +
+                               std::to_string(spec.source) + "_a" +
+                               std::to_string(spec.attempt)));
+    spill.id_prefix =
+        std::to_string(spec.dataset_id) + "/" + std::to_string(spec.source);
+    spill.budget = &MemoryBudget::Process();
+  }
+
+  UrlFetcher fetch = [&](const std::string& url) {
+    Result<std::string> got = env.fetch(url);
+    if (got.ok()) span.add_bytes_in(static_cast<int64_t>(got->size()));
+    return got;
+  };
+  std::vector<Bucket> row;
+  std::vector<SpillRun> staged;
+  Status status = RunUserCode(spec.options, [&]() -> Status {
+    if (spec.kind == DataSetKind::kMap) {
+      MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> records,
+                           std::move(input).Load(fetch));
+      MRS_ASSIGN_OR_RETURN(row, RunMapTask(program, spec.options,
+                                           spec.num_splits, records, &spill));
+      return Status::Ok();
     }
-  }
-  std::vector<KeyValue> input;
-  for (Bucket& b : column) {
-    MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
-    input.insert(input.end(), b.records().begin(), b.records().end());
-  }
-  return RunTask(program, kind, options, num_splits, std::move(input), spill);
+    MRS_ASSIGN_OR_RETURN(
+        std::vector<std::unique_ptr<MergeSource>> sources,
+        BuildColumnMergeSources(input.column, fetch, &spill, &staged));
+    MRS_ASSIGN_OR_RETURN(row, ReduceMergedSources(program, spec.options,
+                                                  spec.num_splits,
+                                                  std::move(sources), &spill));
+    return Status::Ok();
+  });
+  for (const SpillRun& run : staged) RemoveSpillRun(run);
+  MRS_RETURN_IF_ERROR(status);
+  if (env.finish) MRS_RETURN_IF_ERROR(env.finish(row, span));
+  return row;
 }
 
 }  // namespace mrs

@@ -1,10 +1,13 @@
 // Task execution: the one code path that computes a row of a dataset's
 // bucket grid.
 //
-// Every implementation — serial, mock parallel, master/slave — funnels
-// through RunMapTask / RunReduceTask, which is how Mrs guarantees that all
-// implementations "produce identical answers" (paper §IV-A): only the
-// scheduling and data movement differ, never the computation.
+// Every implementation — serial, mock parallel, thread, master/slave —
+// runs every task through ExecuteTask, which is how Mrs guarantees that
+// all implementations "produce identical answers" (paper §IV-A): a runner
+// only builds the task's input (a column of buckets) and decides where the
+// output row goes; the span, the spill directory, the broadcast scope, the
+// exception guard and the choice between the map kernel (RunMapTask) and
+// the merge-based reduce kernel (ReduceMergedSources) live here, once.
 #pragma once
 
 #include <functional>
@@ -21,9 +24,14 @@
 
 namespace mrs {
 
+namespace obs {
+class ScopedSpan;
+}  // namespace obs
+
 /// Where and whether a task may spill its output buckets (fs/spill.h).
-/// Runners construct one per task when the process MemoryBudget is active;
-/// a null/inactive context reproduces the pre-spill behavior exactly.
+/// ExecuteTask fills one in per task when the process MemoryBudget is
+/// active; a null/inactive context reproduces the pre-spill behavior
+/// exactly.
 struct TaskSpillContext {
   std::string dir;        // existing directory for run files
   std::string id_prefix;  // frame-id prefix, e.g. "<dataset>/<source>"
@@ -63,86 +71,96 @@ struct TaskInputPart {
   }
 };
 
-/// Fetch and concatenate all parts, in order.
-Result<std::vector<KeyValue>> LoadTaskInput(
-    const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch);
-
-/// Gather the input records for task `split` reading from dataset
-/// `input_ds` (in-memory/local path used by the serial and mock-parallel
-/// runners).  For file datasets this reads the split's file; otherwise it
-/// loads column `split` of the grid.
-Result<std::vector<KeyValue>> GatherInputRecords(DataSet& input_ds, int split,
-                                                 const UrlFetcher& fetch);
-
 /// Build URL/inline input parts for a remote task (master side).  Buckets
 /// that have URLs are passed by reference; in-memory-only buckets are
 /// inlined.
 Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
                                                        int split);
 
-/// Run one map task: calls the named map function on every input record,
+/// What one task computes: row `source` of dataset `dataset_id`.
+struct TaskSpec {
+  DataSetKind kind = DataSetKind::kMap;
+  DataSetOptions options;
+  int dataset_id = 0;
+  int source = 0;
+  int num_splits = 1;
+  int attempt = 1;
+
+  static TaskSpec For(const DataSet& ds, int source);
+};
+
+/// A task's input: one bucket per upstream source, in source order.  Each
+/// bucket holds in-memory records, spill runs, or a url still to fetch.
+struct TaskInput {
+  std::vector<Bucket> column;
+
+  /// Column `split` of `in` (a file dataset: the split's text file).
+  static TaskInput Column(const DataSet& in, int split);
+  /// A remote task's assignment inputs.
+  static TaskInput Parts(const std::vector<TaskInputPart>& parts);
+  /// Records already in memory.
+  static TaskInput Inline(std::vector<KeyValue> records);
+
+  /// Fetch and concatenate every bucket's records, in order.
+  Result<std::vector<KeyValue>> Load(const UrlFetcher& fetch) &&;
+};
+
+/// Where a task runs.
+struct TaskEnv {
+  /// Resolves url-backed input buckets.
+  UrlFetcher fetch = LocalFetch;
+  /// Names the runner in spill directory labels ("serial", "slave3", ...).
+  std::string name;
+  /// Runs inside the task span once the row is computed; the master/slave
+  /// runner publishes the row here, so the span covers the whole attempt.
+  std::function<Status(std::vector<Bucket>& row, obs::ScopedSpan& span)>
+      finish = nullptr;
+};
+
+/// The task-execution funnel: every runner executes every task through
+/// here.  Opens the task's "map"/"reduce" span, gives it a spill directory
+/// when the process MemoryBudget is active (failing the task if none can
+/// be made), and runs the map kernel over the concatenated input or the
+/// reduce kernel over one merge source per input bucket, inside
+/// RunUserCode.  Input runs staged for the merge are deleted before it
+/// returns.
+Result<std::vector<Bucket>> ExecuteTask(MapReduce& program,
+                                        const TaskSpec& spec, TaskInput input,
+                                        const TaskEnv& env);
+
+/// Run user code of the operation `options` describes: installs its
+/// broadcast (MapReduce::Broadcast) and turns an exception escaping `body`
+/// into an InternalError.  The funnel, the thread runner's morsels and its
+/// per-worker combiners all call user code through here.
+Status RunUserCode(const DataSetOptions& options,
+                   const std::function<Status()>& body);
+
+/// Run the map kernel: calls the named map function on every input record,
 /// partitions emitted pairs into `num_splits` buckets, and optionally
 /// applies the combiner per bucket.  Returns the completed bucket row.
 /// With an enabled spill context, partitions that grow past the memory
 /// budget are flushed to disk as sorted runs (combined first when a
 /// combiner is configured — the classic combine-before-spill policy) and
-/// the returned buckets carry runs instead of records.
+/// the returned buckets carry runs instead of records.  User code runs
+/// unguarded: call it inside RunUserCode.
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
                                        const std::vector<KeyValue>& input,
                                        const TaskSpillContext* spill = nullptr);
 
-/// Run one reduce task: sorts input by key (ties by value), groups, calls
-/// the named reduce function per key, and partitions emitted values by key
-/// into `num_splits` buckets.
-Result<std::vector<Bucket>> RunReduceTask(
-    MapReduce& program, const DataSetOptions& options, int num_splits,
-    std::vector<KeyValue> input, const TaskSpillContext* spill = nullptr);
-
-/// The out-of-core reduce: consumes a (key, value)-sorted merged stream —
+/// Run the reduce kernel: consumes a (key, value)-sorted merged stream —
 /// never materializing the full input — groups consecutive equal keys,
 /// applies the reduce function, and partitions output into buckets,
-/// spilling them as FIFO runs under budget pressure.  Produces exactly the
-/// rows RunReduceTask would for the same input multiset.
+/// spilling them as FIFO runs under budget pressure.  User code runs
+/// unguarded: call it inside RunUserCode.
 Result<std::vector<Bucket>> ReduceMergedSources(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<std::unique_ptr<MergeSource>> sources,
     const TaskSpillContext* spill);
 
-/// Build one sorted MergeSource per input bucket (in the order given):
-/// spilled buckets stream their sorted runs from disk; in-memory buckets
-/// contribute a sorted copy.  FIFO runs (never reduce input in practice)
-/// are materialized and sorted.
-Result<std::vector<std::unique_ptr<MergeSource>>> BuildColumnMergeSources(
-    const std::vector<Bucket*>& column, const UrlFetcher& fetch);
-
-/// Dispatch on dataset kind (kMap/kReduce).
-Result<std::vector<Bucket>> RunTask(MapReduce& program, DataSetKind kind,
-                                    const DataSetOptions& options,
-                                    int num_splits, std::vector<KeyValue> input,
-                                    const TaskSpillContext* spill = nullptr);
-
-/// Run task `split` against its input dataset — the local runners' whole
-/// task body.  Reduce tasks whose input column spilled (or that may spill
-/// themselves) take the streamed path: per-bucket merge sources feed
-/// ReduceMergedSources and the full input is never materialized.
-Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
-                                             int split, const UrlFetcher& fetch,
-                                             const TaskSpillContext* spill);
-
-/// Same, for a column of buckets already gathered (thread runner's shuffle
-/// board, slave-fetched parts staged as buckets).
-Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
-                                             DataSetKind kind,
-                                             const DataSetOptions& options,
-                                             int num_splits,
-                                             std::vector<Bucket> column,
-                                             const UrlFetcher& fetch,
-                                             const TaskSpillContext* spill);
-
-/// Sort records and collapse runs of equal keys via `fn` (shared by the
-/// reduce path and the map-side combiner).
+/// Sort records and collapse runs of equal keys via `fn` (every combiner
+/// pass: in-task, combine-before-spill, morsel finalize, worker flush).
 Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
                                              const ReduceFn& fn);
 

@@ -89,7 +89,7 @@ std::unique_lock<std::mutex> LockStripe(std::mutex& mu) {
 /// the split whose count reaches zero has all its input staged, so its
 /// consumer task can be submitted immediately — no stage-level barrier.
 /// The downstream task Takes everything merged in source-index order —
-/// exactly the order GatherInputRecords produces for the serial runner,
+/// exactly the order TaskInput::Column produces for the serial runner,
 /// which is what keeps order-sensitive (map) consumers byte-identical.
 class ShuffleBoard {
  public:
@@ -369,7 +369,12 @@ void ThreadRunner::RunTaskBody(const std::shared_ptr<ChainContext>& ctx,
   if (!ctx->failed.load(std::memory_order_acquire) &&
       stage->ds->TryClaimTask(source)) {
     if (!TryMorselFanOut(ctx, stage, source)) {
-      Result<std::vector<Bucket>> row = ExecuteTask(stage, source);
+      DataSet& ds = *stage->ds;
+      TaskInput input = stage->board ? TaskInput{stage->board->Take(source)}
+                                     : TaskInput::Column(*ds.input(), source);
+      Result<std::vector<Bucket>> row =
+          ExecuteTask(*program_, TaskSpec::For(ds, source), std::move(input),
+                      TaskEnv{.name = "thread"});
       if (row.ok()) {
         CompleteTask(ctx, stage, source, &*row, /*arrivals_delivered=*/false);
       } else {
@@ -390,6 +395,11 @@ void ThreadRunner::RunTaskBody(const std::shared_ptr<ChainContext>& ctx,
 void ThreadRunner::FailTask(const std::shared_ptr<ChainContext>& ctx,
                             Stage* stage, int source, Status status) {
   stage->ds->set_task_state(source, TaskState::kFailed);
+  FailChain(ctx, std::move(status));
+}
+
+void ThreadRunner::FailChain(const std::shared_ptr<ChainContext>& ctx,
+                             Status status) {
   std::lock_guard<std::mutex> lock(ctx->mu);
   if (!ctx->failed.exchange(true, std::memory_order_acq_rel)) {
     ctx->error = std::move(status);
@@ -480,31 +490,22 @@ void ThreadRunner::FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
     for (size_t p = 0; p < buf->per_split.size(); ++p) {
       std::vector<KeyValue>& recs = buf->per_split[p];
       if (recs.empty()) continue;
-      // The combiner is user code running on a pool worker: an escaped
-      // exception must surface as the chain's Status, not kill the
-      // process.
-      Result<std::vector<KeyValue>> combined =
-          [&]() -> Result<std::vector<KeyValue>> {
-        try {
-          return SortGroupApply(std::move(recs), consumer->combiner);
-        } catch (const std::exception& e) {
-          return InternalError(std::string("uncaught exception in combiner: ") +
-                               e.what());
-        } catch (...) {
-          return InternalError("uncaught non-standard exception in combiner");
-        }
-      }();
+      // The combiner belongs to the upstream map: it runs under that
+      // operation's broadcast, exactly as inside RunMapTask.
+      Bucket b(synth, static_cast<int>(p));
+      Status combined = RunUserCode(
+          consumer->upstream->ds->options(), [&]() -> Status {
+            MRS_ASSIGN_OR_RETURN(*b.mutable_records(),
+                                 SortGroupApply(std::move(recs),
+                                                consumer->combiner));
+            return Status::Ok();
+          });
       recs = std::vector<KeyValue>();
       if (!combined.ok()) {
-        std::lock_guard<std::mutex> lock(ctx->mu);
-        if (!ctx->failed.exchange(true, std::memory_order_acq_rel)) {
-          ctx->error = combined.status();
-        }
+        FailChain(ctx, std::move(combined));
         continue;
       }
-      out_records += static_cast<int64_t>(combined->size());
-      Bucket b(synth, static_cast<int>(p));
-      *b.mutable_records() = *std::move(combined);
+      out_records += static_cast<int64_t>(b.records().size());
       b.MarkLoaded();
       consumer->board->Deposit(synth, static_cast<int>(p), std::move(b));
     }
@@ -528,7 +529,7 @@ bool ThreadRunner::TryMorselFanOut(const std::shared_ptr<ChainContext>& ctx,
   DataSetPtr in = stage->ds->input();
   if (!in) return false;
   Result<std::vector<KeyValue>> input =
-      GatherInputRecords(*in, source, LocalFetch);
+      TaskInput::Column(*in, source).Load(LocalFetch);
   if (!input.ok()) {
     FailTask(ctx, stage, source, input.status());
     CompleteTask(ctx, stage, source, nullptr, /*arrivals_delivered=*/false);
@@ -589,19 +590,13 @@ void ThreadRunner::RunMorsel(const std::shared_ptr<ChainContext>& ctx,
     // byte-identical to the serial runner's); raw morsel output is what
     // feeds the reduce board early.
     opts.use_combiner = false;
-    Result<std::vector<Bucket>> row = [&]() -> Result<std::vector<Bucket>> {
-      try {
-        return RunMapTask(*program_, opts, ds.num_splits(),
-                          group->chunks[index], nullptr);
-      } catch (const std::exception& e) {
-        return InternalError(
-            std::string("uncaught exception in worker task: ") + e.what());
-      } catch (...) {
-        return InternalError("uncaught non-standard exception in worker task");
-      }
-    }();
-    if (row.ok()) {
-      group->rows[index] = *std::move(row);
+    Status status = RunUserCode(opts, [&]() -> Status {
+      MRS_ASSIGN_OR_RETURN(group->rows[index],
+                           RunMapTask(*program_, opts, ds.num_splits(),
+                                      group->chunks[index], nullptr));
+      return Status::Ok();
+    });
+    if (status.ok()) {
       produced = true;
       if (group->deposit_partials) {
         Stage* down = stage->downstream;
@@ -614,7 +609,7 @@ void ThreadRunner::RunMorsel(const std::shared_ptr<ChainContext>& ctx,
         }
       }
     } else {
-      FailTask(ctx, stage, group->source, row.status());
+      FailTask(ctx, stage, group->source, std::move(status));
     }
   }
   if (!produced) group->failed.store(true, std::memory_order_release);
@@ -641,41 +636,33 @@ void ThreadRunner::FinalizeMorselGroup(
   // (reproducing the serial emission order per bucket), then apply the
   // per-task combiner once — byte-identical to RunMapTask on the whole
   // input.
-  Result<std::vector<Bucket>> row = [&]() -> Result<std::vector<Bucket>> {
-    try {
-      int num_splits = ds.num_splits();
-      std::vector<Bucket> out;
-      out.reserve(static_cast<size_t>(num_splits));
-      for (int p = 0; p < num_splits; ++p) out.emplace_back(0, p);
-      for (std::vector<Bucket>& partial : group->rows) {
-        for (int p = 0; p < num_splits; ++p) {
-          out[static_cast<size_t>(p)].Absorb(
-              std::move(partial[static_cast<size_t>(p)]));
-        }
-      }
-      if (ds.options().use_combiner) {
-        MRS_ASSIGN_OR_RETURN(ReduceFn combiner,
-                             FindCombiner(*program_, ds.options()));
-        for (Bucket& b : out) {
-          if (b.records().empty()) continue;
-          MRS_ASSIGN_OR_RETURN(
-              *b.mutable_records(),
-              SortGroupApply(std::move(*b.mutable_records()), combiner));
-        }
-      }
-      for (Bucket& b : out) b.MarkLoaded();
-      return out;
-    } catch (const std::exception& e) {
-      return InternalError(std::string("uncaught exception in worker task: ") +
-                           e.what());
-    } catch (...) {
-      return InternalError("uncaught non-standard exception in worker task");
+  int num_splits = ds.num_splits();
+  std::vector<Bucket> row;
+  row.reserve(static_cast<size_t>(num_splits));
+  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
+  for (std::vector<Bucket>& partial : group->rows) {
+    for (int p = 0; p < num_splits; ++p) {
+      row[static_cast<size_t>(p)].Absorb(
+          std::move(partial[static_cast<size_t>(p)]));
     }
-  }();
-  if (row.ok()) {
-    CompleteTask(ctx, stage, group->source, &*row, group->deposit_partials);
+  }
+  Status status = RunUserCode(ds.options(), [&]() -> Status {
+    if (!ds.options().use_combiner) return Status::Ok();
+    MRS_ASSIGN_OR_RETURN(ReduceFn combiner,
+                         FindCombiner(*program_, ds.options()));
+    for (Bucket& b : row) {
+      if (b.records().empty()) continue;
+      MRS_ASSIGN_OR_RETURN(
+          *b.mutable_records(),
+          SortGroupApply(std::move(*b.mutable_records()), combiner));
+    }
+    return Status::Ok();
+  });
+  if (status.ok()) {
+    for (Bucket& b : row) b.MarkLoaded();
+    CompleteTask(ctx, stage, group->source, &row, group->deposit_partials);
   } else {
-    FailTask(ctx, stage, group->source, row.status());
+    FailTask(ctx, stage, group->source, std::move(status));
     CompleteTask(ctx, stage, group->source, nullptr, group->deposit_partials);
   }
 }
@@ -684,44 +671,6 @@ void ThreadRunner::FinishUnit(const std::shared_ptr<ChainContext>& ctx) {
   if (ctx->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->cv.notify_all();
-  }
-}
-
-Result<std::vector<Bucket>> ThreadRunner::ExecuteTask(Stage* stage,
-                                                      int source) {
-  DataSet& ds = *stage->ds;
-  obs::ScopedSpan span(ds.options().op_name,
-                       ds.kind() == DataSetKind::kMap ? "map" : "reduce");
-  span.set_task(ds.id(), source);
-
-  TaskSpillContext spill;
-  const TaskSpillContext* spill_ptr = nullptr;
-  if (MemoryBudget::Process().active()) {
-    Result<std::string> dir = NewSpillDir(
-        "thread_ds" + std::to_string(ds.id()) + "_t" + std::to_string(source));
-    if (dir.ok()) {
-      spill.dir = *std::move(dir);
-      spill.id_prefix =
-          std::to_string(ds.id()) + "/" + std::to_string(source);
-      spill.budget = &MemoryBudget::Process();
-      spill_ptr = &spill;
-    }
-  }
-
-  // User map/reduce code runs on a pool worker: an escaped exception must
-  // surface as this task's Status, not terminate the process.
-  try {
-    if (stage->board) {
-      return RunTaskOnBuckets(*program_, ds.kind(), ds.options(),
-                              ds.num_splits(), stage->board->Take(source),
-                              LocalFetch, spill_ptr);
-    }
-    return RunTaskOnDataSet(*program_, ds, source, LocalFetch, spill_ptr);
-  } catch (const std::exception& e) {
-    return InternalError(
-        std::string("uncaught exception in worker task: ") + e.what());
-  } catch (...) {
-    return InternalError("uncaught non-standard exception in worker task");
   }
 }
 

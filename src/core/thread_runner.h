@@ -5,7 +5,7 @@
 // work-stealing pool of N threads.  Determinism (paper §IV-A: all
 // implementations "produce identical answers") is preserved structurally:
 //
-//  * the computation itself is the shared RunTask path, and the
+//  * the computation itself is the shared ExecuteTask funnel, and the
 //    `random(...)` streams depend only on argument tuples, never on
 //    scheduling;
 //  * shuffle output destined for a *map* stage is deposited into
@@ -13,7 +13,7 @@
 //    order* before the downstream task reads it, so an order-sensitive
 //    map sees its input exactly as the serial runner would produce it;
 //  * shuffle output destined for a *reduce* stage only needs the right
-//    input multiset (RunReduceTask sorts by (key, value) before
+//    input multiset (the reduce kernel merges it by (key, value) before
 //    grouping), which is what licenses the two scaling optimizations
 //    below;
 //  * a dataset's bucket grid is only written via DataSet::SetRow (one row
@@ -97,10 +97,11 @@ class ThreadRunner final : public Runner {
                   int source);
   void RunTaskBody(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                    int source);
-  Result<std::vector<Bucket>> ExecuteTask(Stage* stage, int source);
   /// Record a task failure in the dataset and the chain context.
   void FailTask(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                 int source, Status status);
+  /// Record the chain's first error.
+  void FailChain(const std::shared_ptr<ChainContext>& ctx, Status status);
   /// Deliver a finished task's row (deposit downstream or enter a worker
   /// combine buffer, record arrivals, SetRow) and run stage-close
   /// bookkeeping.  `row` is null for failed/skipped tasks;

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -73,6 +74,10 @@ class Bucket {
   bool spilled() const { return !spill_runs_.empty(); }
   const std::vector<SpillRun>& spill_runs() const { return spill_runs_; }
   void AddSpillRun(SpillRun run) { spill_runs_.push_back(std::move(run)); }
+  /// Forget the runs and hand them to the caller (who deletes the files).
+  std::vector<SpillRun> TakeSpillRuns() {
+    return std::exchange(spill_runs_, {});
+  }
 
   /// Move current in-memory records to disk as one spill run.  `sorted`
   /// orders the run by (key, value) before writing (shuffle data: multiset

@@ -12,7 +12,6 @@
 #include "core/task.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
-#include "fs/merge.h"
 #include "fs/spill.h"
 #include "http/client.h"
 #include "http/pool.h"
@@ -432,22 +431,19 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   }
   const double exec_start = RealClock::Instance().Now();
 
-  // One span per task attempt, labelled with the phase it executes.
-  obs::ScopedSpan span(assignment.options.op_name,
-                       assignment.kind == DataSetKind::kMap ? "map"
-                                                            : "reduce");
-  span.set_task(assignment.dataset_id, assignment.source, assignment.attempt);
-
-  // Batched pull first: one round trip per peer hosting several of this
-  // task's input buckets, instead of one per bucket.
-  std::map<std::string, std::string> prefetched;
-  BatchPrefetch(assignment, &prefetched);
-
+  // Batched pull first: on the task's first fetch, one round trip per
+  // peer hosting several of its input buckets, instead of one per bucket.
   // Each fetch attempt may be chaos-failed; the retry wrapper absorbs
   // transient misses with backoff, so only a persistently unreachable
   // peer surfaces as a task failure (and a bad_url lineage report).
-  UrlFetcher fetch = [this, &span, &assignment,
-                      &prefetched](const std::string& url) {
+  std::map<std::string, std::string> prefetched;
+  bool prefetch_done = false;
+  UrlFetcher fetch = [this, &assignment, &prefetched,
+                      &prefetch_done](const std::string& url) {
+    if (!prefetch_done) {
+      prefetch_done = true;
+      BatchPrefetch(assignment, &prefetched);
+    }
     obs::ScopedSpan fetch_span("fetch", "fetch");
     fetch_span.set_task(assignment.dataset_id, assignment.source,
                         assignment.attempt);
@@ -463,32 +459,9 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
                              return ResolveUrl(url);
                            });
     }();
-    if (got.ok()) {
-      fetch_span.add_bytes_in(static_cast<int64_t>(got->size()));
-      span.add_bytes_in(static_cast<int64_t>(got->size()));
-    }
+    if (got.ok()) fetch_span.add_bytes_in(static_cast<int64_t>(got->size()));
     return got;
   };
-
-  // Out-of-core execution: when the process memory budget is active,
-  // every task attempt gets its own spill directory (a rerun never
-  // overwrites run files a published bucket still references).
-  TaskSpillContext spill;
-  const TaskSpillContext* spill_ptr = nullptr;
-  if (MemoryBudget::Process().active()) {
-    Result<std::string> dir = NewSpillDir(
-        "slave" + std::to_string(id_) + "_ds" +
-        std::to_string(assignment.dataset_id) + "_t" +
-        std::to_string(assignment.source) + "_a" +
-        std::to_string(assignment.attempt));
-    if (dir.ok()) {
-      spill.dir = *std::move(dir);
-      spill.id_prefix = std::to_string(assignment.dataset_id) + "/" +
-                        std::to_string(assignment.source);
-      spill.budget = &MemoryBudget::Process();
-      spill_ptr = &spill;
-    }
-  }
 
   // Resident input (iterative/BSP): the master either promises this slave
   // still caches the pinned split's decoded records (resident_cached,
@@ -496,9 +469,10 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   // broken promise — restart, lost state — is reported as a resident://
   // cache miss, which the master treats as environmental and answers by
   // re-sending full inputs.
-  std::vector<KeyValue> resident_input;
-  bool have_resident_input = false;
-  if (!assignment.resident_key.empty() && assignment.resident_cached) {
+  TaskInput input;
+  if (assignment.resident_key.empty()) {
+    input = TaskInput::Parts(assignment.inputs);
+  } else if (assignment.resident_cached) {
     static obs::Counter* resident_hits =
         obs::Registry::Instance().GetCounter("mrs.slave.resident_hits");
     static obs::Counter* resident_misses =
@@ -512,55 +486,37 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
                            assignment.resident_key);
     }
     resident_hits->Inc();
-    resident_input = it->second;  // copy: the task consumes its input
-    have_resident_input = true;
+    input = TaskInput::Inline(it->second);  // copy: the task consumes it
+  } else {
+    // First round over a pinned split (or a re-send after a miss):
+    // remember the decoded records so later supersteps skip the
+    // fetch+decode entirely.
+    MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> records,
+                         TaskInput::Parts(assignment.inputs).Load(fetch));
+    {
+      MutexLock lock(store_mutex_);
+      resident_cache_[assignment.resident_key] = records;
+    }
+    input = TaskInput::Inline(std::move(records));
   }
 
-  Result<std::vector<Bucket>> row_result =
-      [&]() -> Result<std::vector<Bucket>> {
-    if (assignment.kind == DataSetKind::kReduce && spill_ptr != nullptr &&
-        assignment.resident_key.empty()) {
-      // Budgeted reduce: stage each input part on disk as a sorted run
-      // (one part resident at a time) and stream the k-way merge, so the
-      // full reduce input is never materialized in memory.
-      std::vector<std::unique_ptr<MergeSource>> sources;
-      size_t seq = 0;
-      for (const TaskInputPart& part : assignment.inputs) {
-        MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                             LoadTaskInput({part}, fetch));
-        std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
-        std::string path =
-            JoinPath(spill.dir, "input_run" + std::to_string(seq) + ".mrsk");
-        MRS_ASSIGN_OR_RETURN(
-            SpillRun run,
-            WriteSpillRun(path,
-                          spill.id_prefix + "/in" + std::to_string(seq),
-                          recs, /*sorted=*/true));
-        ++seq;
-        sources.push_back(std::make_unique<SpillRunSource>(std::move(run)));
-      }
-      return ReduceMergedSources(*program_, assignment.options,
-                                 assignment.num_splits, std::move(sources),
-                                 spill_ptr);
-    }
-    std::vector<KeyValue> input;
-    if (have_resident_input) {
-      input = std::move(resident_input);
-    } else {
-      MRS_ASSIGN_OR_RETURN(input, LoadTaskInput(assignment.inputs, fetch));
-      if (!assignment.resident_key.empty()) {
-        // First round over a pinned split (or a re-send after a miss):
-        // remember the decoded records so later supersteps skip the
-        // fetch+decode entirely.
-        MutexLock lock(store_mutex_);
-        resident_cache_[assignment.resident_key] = input;
-      }
-    }
-    return RunTask(*program_, assignment.kind, assignment.options,
-                   assignment.num_splits, std::move(input), spill_ptr);
-  }();
-  MRS_ASSIGN_OR_RETURN(std::vector<Bucket> row, std::move(row_result));
+  TaskSpec spec;
+  spec.kind = assignment.kind;
+  spec.options = assignment.options;
+  spec.dataset_id = assignment.dataset_id;
+  spec.source = assignment.source;
+  spec.num_splits = assignment.num_splits;
+  spec.attempt = assignment.attempt;
+  TaskEnv env{fetch, "slave" + std::to_string(id_),
+              [&](std::vector<Bucket>& row, obs::ScopedSpan& span) {
+                return PublishRow(assignment, row, span, exec_start);
+              }};
+  return ExecuteTask(*program_, spec, std::move(input), env).status();
+}
 
+Status Slave::PublishRow(const TaskAssignment& assignment,
+                         std::vector<Bucket>& row, obs::ScopedSpan& span,
+                         double exec_start) {
   // Publish each bucket and collect URLs.  A spilled bucket is published
   // run-backed: hosting it costs no memory, and the data plane streams the
   // runs at serve time.

@@ -136,7 +136,14 @@ class Slave {
   /// batch with 404; the fetching peer falls back to per-bucket GETs,
   /// which pin down exactly which bucket is gone.
   HttpResponse ServeBucketBatch(std::string_view query);
+  /// Build the assignment's input and run it through the task funnel.
   Status ExecuteAssignment(const TaskAssignment& assignment);
+  /// Publish a computed row (bucket store or shared filesystem), apply the
+  /// publish-side chaos faults, and report task_done.  Runs inside the
+  /// task's span.
+  Status PublishRow(const TaskAssignment& assignment,
+                    std::vector<Bucket>& row, obs::ScopedSpan& span,
+                    double exec_start);
   /// Best-effort batched pull of this assignment's http inputs, one round
   /// trip per peer that hosts two or more of them.  Successfully fetched
   /// bodies land in `out` keyed by URL; on any failure (old peer, chaos,

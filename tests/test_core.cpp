@@ -146,13 +146,22 @@ TEST(SortGroupApply, EmptyInputYieldsEmptyOutput) {
 
 // ---- Task executor -------------------------------------------------------------
 
+TaskSpec Spec(DataSetKind kind, DataSetOptions options, int num_splits) {
+  TaskSpec spec;
+  spec.kind = kind;
+  spec.options = std::move(options);
+  spec.num_splits = num_splits;
+  return spec;
+}
+
 TEST(Tasks, MapTaskPartitionsEmittedPairs) {
   CountProgram p;
   ASSERT_TRUE(p.Init(Options()).ok());
   std::vector<KeyValue> input = LinesToRecords("a b a\nc\n");
   DataSetOptions options;
   options.op_name = "map";
-  auto row = RunMapTask(p, options, 4, input);
+  auto row = ExecuteTask(p, Spec(DataSetKind::kMap, options, 4),
+                         TaskInput::Inline(input), TaskEnv());
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(row->size(), 4u);
   // All 4 emissions present, each in the partition its key hashes to.
@@ -173,7 +182,8 @@ TEST(Tasks, CombinerCollapsesMapOutput) {
   DataSetOptions options;
   options.op_name = "map";
   options.use_combiner = true;
-  auto row = RunMapTask(p, options, 2, input);
+  auto row = ExecuteTask(p, Spec(DataSetKind::kMap, options, 2),
+                         TaskInput::Inline(input), TaskEnv());
   ASSERT_TRUE(row.ok());
   int total_records = 0;
   int64_t total_count = 0;
@@ -197,7 +207,8 @@ TEST(Tasks, ReduceTaskGroupsAndPartitions) {
   };
   DataSetOptions options;
   options.op_name = "reduce";
-  auto row = RunReduceTask(p, options, 3, std::move(input));
+  auto row = ExecuteTask(p, Spec(DataSetKind::kReduce, options, 3),
+                         TaskInput::Inline(std::move(input)), TaskEnv());
   ASSERT_TRUE(row.ok());
   std::map<std::string, int64_t> counts;
   for (const Bucket& b : *row) {
@@ -214,8 +225,12 @@ TEST(Tasks, UnknownOpNameFailsCleanly) {
   ASSERT_TRUE(p.Init(Options()).ok());
   DataSetOptions options;
   options.op_name = "no_such_op";
-  EXPECT_FALSE(RunMapTask(p, options, 1, {}).ok());
-  EXPECT_FALSE(RunReduceTask(p, options, 1, {}).ok());
+  EXPECT_FALSE(ExecuteTask(p, Spec(DataSetKind::kMap, options, 1),
+                           TaskInput::Inline({}), TaskEnv())
+                   .ok());
+  EXPECT_FALSE(ExecuteTask(p, Spec(DataSetKind::kReduce, options, 1),
+                           TaskInput::Inline({}), TaskEnv())
+                   .ok());
 }
 
 // ---- DataSet bookkeeping ---------------------------------------------------------

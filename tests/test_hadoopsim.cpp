@@ -499,8 +499,8 @@ TEST(FetchRegistry, WebHdfsBucketsFeedTasks) {
       "webhdfs://" + (*server)->addr().ToString() + "/stage/bucket0";
   ASSERT_TRUE(CanResolveUrl(url));
   std::vector<TaskInputPart> parts = {TaskInputPart::Url(url)};
-  auto input = LoadTaskInput(
-      parts, [](const std::string& u) { return ResolveUrl(u); });
+  auto input = TaskInput::Parts(parts).Load(
+      [](const std::string& u) { return ResolveUrl(u); });
   ASSERT_TRUE(input.ok()) << input.status().ToString();
   EXPECT_EQ(*input, records);
 }

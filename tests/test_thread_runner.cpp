@@ -403,43 +403,6 @@ TEST(ThreadRunner, ReduceStartsBeforeSlowestMapTaskFinishes) {
 
 // ---- Failure propagation -------------------------------------------------
 
-class ThrowingMap : public ThreadedWordCount {
- public:
-  std::atomic<bool> armed{true};
-
-  void Map(const Value& key, const Value& value,
-           const Emitter& emit) override {
-    if (armed.load(std::memory_order_acquire)) {
-      throw std::runtime_error("map exploded");
-    }
-    ThreadedWordCount::Map(key, value, emit);
-  }
-};
-
-TEST(ThreadRunner, WorkerExceptionSurfacesAsStatus) {
-  ThrowingMap program;
-  ASSERT_TRUE(program.Init(Options()).ok());
-  Job job(&program, std::make_unique<ThreadRunner>(&program, 4));
-  job.set_default_parallelism(4);
-  DataSetPtr input = job.LocalData(WordInput(20));
-  DataSetPtr mapped = job.MapData(input);
-  // Chain through a reduce: downstream tasks must still drain (not hang)
-  // when every upstream map fails.
-  DataSetPtr reduced = job.ReduceData(mapped);
-  Status status = job.Wait(reduced);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("map exploded"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.ToString().find("uncaught exception"), std::string::npos)
-      << status.ToString();
-
-  // Disarm and Wait again: failed tasks are reset and re-executed.
-  program.armed.store(false, std::memory_order_release);
-  auto out = job.Collect(reduced);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_FALSE(out->empty());
-}
-
 class ThrowingNonStdMap : public ThreadedWordCount {
  public:
   void Map(const Value&, const Value&, const Emitter&) override {
