@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: value
-// serialization, the record format, sort+group, XML-RPC framing, Halton
-// generation, and the MiniPy engines — the per-sample rates behind Fig 3.
+// serialization, the record format, sort+group, spill-run reads, XML-RPC
+// framing, Halton generation, and the MiniPy engines — the per-sample
+// rates behind Fig 3.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "fs/file_io.h"
+#include "fs/merge.h"
+#include "fs/spill.h"
 #include "halton/halton.h"
 #include "halton/pi_kernel.h"
 #include "interp/treewalk.h"
@@ -62,6 +66,42 @@ void BM_SortGroup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortGroup)->Arg(1000)->Arg(100000);
+
+// Streams one spill run through SpillRunSource (checksum pass included).
+// Items/s must stay flat from 1k to 100k records: a per-record cost that
+// grows with the read window would show up here first.
+void BM_SpillRunSourceRead(benchmark::State& state) {
+  Result<std::string> dir = MakeTempDir("mrs_bench_spill_");
+  if (!dir.ok()) {
+    state.SkipWithError("no temp dir");
+    return;
+  }
+  Result<SpillRun> run =
+      WriteSpillRun(JoinPath(*dir, "run.mrsk"), "bench/0/0",
+                    MakeRecords(static_cast<int>(state.range(0))),
+                    /*sorted=*/false);
+  if (!run.ok()) {
+    state.SkipWithError("spill run write failed");
+    RemoveTree(*dir);
+    return;
+  }
+  for (auto _ : state) {
+    SpillRunSource source(*run);
+    KeyValue kv;
+    while (true) {
+      Result<bool> more = source.Next(&kv);
+      if (!more.ok()) {
+        state.SkipWithError("spill run read failed");
+        break;
+      }
+      if (!*more) break;
+      benchmark::DoNotOptimize(kv);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RemoveTree(*dir);
+}
+BENCHMARK(BM_SpillRunSourceRead)->Arg(1000)->Arg(100000);
 
 void BM_XmlRpcCallRoundTrip(benchmark::State& state) {
   xmlrpc::MethodCall call;

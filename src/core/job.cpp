@@ -125,6 +125,12 @@ Result<std::vector<KeyValue>> Job::Collect(const DataSetPtr& dataset) {
   for (int split = 0; split < dataset->num_splits(); ++split) {
     for (int source = 0; source < dataset->num_sources(); ++source) {
       Bucket& b = dataset->bucket(source, split);
+      if (b.spilled() && !b.loaded()) {
+        // Stream the runs straight into the result: the bucket stays
+        // runs-only, so its records are never resident twice.
+        MRS_RETURN_IF_ERROR(b.AppendSpilledRecords(&out));
+        continue;
+      }
       MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
       out.insert(out.end(), b.records().begin(), b.records().end());
     }

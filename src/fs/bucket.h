@@ -69,7 +69,7 @@ class Bucket {
   // Invariant after a task completes: a spilled bucket holds runs only
   // (records_ empty, loaded_ false) — the tail is always flushed.  While a
   // task is still producing, records_ may hold a not-yet-spilled tail;
-  // EnsureLoaded handles both.
+  // AppendSpilledRecords and EnsureLoaded handle both.
 
   bool spilled() const { return !spill_runs_.empty(); }
   const std::vector<SpillRun>& spill_runs() const { return spill_runs_; }
@@ -89,7 +89,17 @@ class Bucket {
   /// Estimated in-memory footprint of records_ (budget accounting).
   size_t ApproxMemoryBytes() const;
 
-  /// Ensure records are in memory, fetching by url if needed.
+  /// Append a spilled bucket's records to *out in their defined order,
+  /// without loading them into the bucket: sorted runs merge by (key,
+  /// value), FIFO runs concatenate in write order, and an unflushed
+  /// in-memory tail comes last.  Every run is read through one
+  /// SpillRunSource.  The bucket is left as it was, so a runs-only bucket
+  /// stays runs-only and can be read again.  On error *out may hold a
+  /// partial prefix.
+  Status AppendSpilledRecords(std::vector<KeyValue>* out) const;
+
+  /// Ensure records are in memory, reading spill runs or fetching by url
+  /// if needed.
   /// `http_fetch` resolves http:// urls (injected to avoid a dependency
   /// cycle and to allow fault injection in tests); file:// urls are read
   /// directly.  A payload that fails to decode is reported as kDataLoss
@@ -98,8 +108,6 @@ class Bucket {
       const std::function<Result<std::string>(const std::string&)>& http_fetch);
 
  private:
-  Status LoadFromRuns();
-
   int source_ = 0;
   int split_ = 0;
   std::string url_;

@@ -124,9 +124,9 @@ Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
                                       const std::string& checksum,
                                       bool sorted);
 
-/// Read a whole run back.  A missing file is kNotFound; truncation, a bad
-/// frame, or a checksum mismatch is kDataLoss.  (For memory-bounded reads
-/// use fs/merge.h's SpillRunSource, which streams.)
+/// Read a whole run back by draining one fs/merge.h SpillRunSource (use
+/// the source directly for memory-bounded reads).  A missing file is
+/// kNotFound; truncation, a bad frame, or a checksum mismatch is kDataLoss.
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run);
 
 /// Best-effort deletion of a run file (lineage invalidation, discards).
