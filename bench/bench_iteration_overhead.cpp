@@ -71,7 +71,7 @@ double RunMasterSlave(int rounds, bool affinity, bool shared_files,
   ClusterLauncher::Config config;
   config.num_slaves = 4;
   config.master.enable_affinity = affinity;
-  config.master.enable_speculation = speculation;
+  if (!speculation) config.master.speculation_quantile = 0;
   std::string shared_dir;
   if (shared_files) {
     auto dir = MakeTempDir("mrs_bench_iter_");

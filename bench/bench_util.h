@@ -113,7 +113,6 @@ ThreadScalingCounters() {
       {"mrs.shuffle.deposits", "deposits"},
       {"mrs.shuffle.combine_in", "combine_in"},
       {"mrs.shuffle.combine_out", "combine_out"},
-      {"mrs.thread.morsels", "morsels"},
       {"mrs.thread.pipelined_submits", "pipelined_submits"},
   };
   return kCounters;
@@ -131,7 +130,7 @@ inline std::vector<int64_t> SnapshotThreadCounters() {
 }
 
 /// Append "<prefix>_<suffix>" = current − before[i] for each scaling
-/// counter: the per-worker steal/shuffle/combine/morsel activity CI
+/// counter: the per-worker steal/shuffle/combine activity CI
 /// archives alongside the timing curve in BENCH_thread.json.
 inline void AppendCounterDeltas(const std::string& prefix,
                                 const std::vector<int64_t>& before,

@@ -171,8 +171,8 @@ using ProgramFactory = std::function<std::unique_ptr<MapReduce>()>;
 /// RAII guard installing the per-thread broadcast value read by
 /// MapReduce::Broadcast().  Only RunUserCode (core/task.h) constructs one,
 /// around every call into user code — a task's map or reduce, and the
-/// thread runner's morsel and per-worker combines; user code never
-/// constructs it directly.
+/// thread runner's per-worker combines; user code never constructs it
+/// directly.
 class BroadcastScope {
  public:
   explicit BroadcastScope(const Value* broadcast);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/log.h"
 #include "common/strings.h"
 #include "fs/file_io.h"
+#include "fs/merge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ser/record.h"
@@ -206,6 +208,15 @@ Result<ReduceFn> FindCombiner(MapReduce& program,
   return program.FindReduce(combine_op);
 }
 
+namespace {
+/// The map kernel: calls the named map function on every input record,
+/// partitions emitted pairs into `num_splits` buckets, and optionally
+/// applies the combiner per bucket.  Returns the completed bucket row.
+/// With an enabled spill context, partitions that grow past the memory
+/// budget are flushed to disk as sorted runs (combined first when a
+/// combiner is configured — the classic combine-before-spill policy) and
+/// the returned buckets carry runs instead of records.  User code runs
+/// unguarded: ExecuteTask calls it inside RunUserCode.
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
@@ -297,6 +308,11 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
   return row;
 }
 
+/// The reduce kernel: consumes a (key, value)-sorted merged stream —
+/// never materializing the full input — groups consecutive equal keys,
+/// applies the reduce function, and partitions output into buckets,
+/// spilling them as FIFO runs under budget pressure.  User code runs
+/// unguarded: ExecuteTask calls it inside RunUserCode.
 Result<std::vector<Bucket>> ReduceMergedSources(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<std::unique_ptr<MergeSource>> sources,
@@ -381,7 +397,6 @@ Result<std::vector<Bucket>> ReduceMergedSources(
   return row;
 }
 
-namespace {
 /// One sorted MergeSource per input bucket (in column order), so the stable
 /// merge equals a stable_sort of the concatenated input.  With an enabled
 /// spill context, a url-backed bucket is staged as a sorted run, appended

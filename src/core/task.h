@@ -6,12 +6,12 @@
 // all implementations "produce identical answers" (paper §IV-A): a runner
 // only builds the task's input (a column of buckets) and decides where the
 // output row goes; the span, the spill directory, the broadcast scope, the
-// exception guard and the choice between the map kernel (RunMapTask) and
-// the merge-based reduce kernel (ReduceMergedSources) live here, once.
+// exception guard and the choice between the map kernel and the
+// merge-based reduce kernel live here, once (both kernels are private to
+// task.cpp).
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +19,6 @@
 #include "core/dataset.h"
 #include "core/program.h"
 #include "fs/bucket.h"
-#include "fs/merge.h"
 #include "fs/spill.h"
 
 namespace mrs {
@@ -130,37 +129,13 @@ Result<std::vector<Bucket>> ExecuteTask(MapReduce& program,
 
 /// Run user code of the operation `options` describes: installs its
 /// broadcast (MapReduce::Broadcast) and turns an exception escaping `body`
-/// into an InternalError.  The funnel, the thread runner's morsels and its
-/// per-worker combiners all call user code through here.
+/// into an InternalError.  The funnel and the thread runner's per-worker
+/// combiners call user code through here.
 Status RunUserCode(const DataSetOptions& options,
                    const std::function<Status()>& body);
 
-/// Run the map kernel: calls the named map function on every input record,
-/// partitions emitted pairs into `num_splits` buckets, and optionally
-/// applies the combiner per bucket.  Returns the completed bucket row.
-/// With an enabled spill context, partitions that grow past the memory
-/// budget are flushed to disk as sorted runs (combined first when a
-/// combiner is configured — the classic combine-before-spill policy) and
-/// the returned buckets carry runs instead of records.  User code runs
-/// unguarded: call it inside RunUserCode.
-Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
-                                       const DataSetOptions& options,
-                                       int num_splits,
-                                       const std::vector<KeyValue>& input,
-                                       const TaskSpillContext* spill = nullptr);
-
-/// Run the reduce kernel: consumes a (key, value)-sorted merged stream —
-/// never materializing the full input — groups consecutive equal keys,
-/// applies the reduce function, and partitions output into buckets,
-/// spilling them as FIFO runs under budget pressure.  User code runs
-/// unguarded: call it inside RunUserCode.
-Result<std::vector<Bucket>> ReduceMergedSources(
-    MapReduce& program, const DataSetOptions& options, int num_splits,
-    std::vector<std::unique_ptr<MergeSource>> sources,
-    const TaskSpillContext* spill);
-
 /// Sort records and collapse runs of equal keys via `fn` (every combiner
-/// pass: in-task, combine-before-spill, morsel finalize, worker flush).
+/// pass: in-task, combine-before-spill, worker flush).
 Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
                                              const ReduceFn& fn);
 

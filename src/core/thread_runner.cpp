@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "core/task.h"
 #include "fs/spill.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace mrs {
 
@@ -32,13 +30,8 @@ obs::Counter* TasksCounter() {
       obs::Registry::Instance().GetCounter("mrs.thread.tasks");
   return c;
 }
-obs::Counter* MorselCounter() {
-  static obs::Counter* c =
-      obs::Registry::Instance().GetCounter("mrs.thread.morsels");
-  return c;
-}
-/// Downstream tasks submitted while their upstream stage still had
-/// unfinished task bodies — the pipelining the per-split gating buys.
+/// Downstream tasks submitted while their upstream stage still had an
+/// unfinished task body (the last one publishing its row).
 obs::Counter* PipelinedCounter() {
   static obs::Counter* c =
       obs::Registry::Instance().GetCounter("mrs.thread.pipelined_submits");
@@ -83,40 +76,17 @@ std::unique_lock<std::mutex> LockStripe(std::mutex& mu) {
 }
 
 /// Sharded, lock-striped shuffle staging area between two adjacent
-/// pipeline stages, with a per-split count of outstanding deposits.
-/// Upstream tasks Deposit their output bucket for a split as soon as they
-/// finish (possibly many at once, hence the stripe locks) and then Arrive;
-/// the split whose count reaches zero has all its input staged, so its
-/// consumer task can be submitted immediately — no stage-level barrier.
-/// The downstream task Takes everything merged in source-index order —
+/// pipeline stages, with one countdown of outstanding upstream arrivals.
+/// Upstream tasks Deposit their output buckets as soon as they finish
+/// (possibly many at once, hence the stripe locks) and then arrive; once
+/// the count reaches zero, every split's input is staged.
+/// A downstream task Takes its split merged in source-index order —
 /// exactly the order TaskInput::Column produces for the serial runner,
 /// which is what keeps order-sensitive (map) consumers byte-identical.
 class ShuffleBoard {
  public:
-  explicit ShuffleBoard(int num_splits)
-      : num_splits_(num_splits),
-        pending_(static_cast<size_t>(num_splits)),
-        remaining_(std::make_unique<std::atomic<int>[]>(
-            static_cast<size_t>(num_splits))) {}
-
-  /// Expected deposit-arrivals per split (the upstream pending task
-  /// count); rows already complete are pre-deposited and not counted.
-  void InitExpected(int per_split) {
-    for (int p = 0; p < num_splits_; ++p) {
-      remaining_[static_cast<size_t>(p)].store(per_split,
-                                               std::memory_order_relaxed);
-    }
-  }
-
-  /// Raise every split's expectation by `n` (a task fanning out into
-  /// morsels delivers one arrival per morsel instead of one).  Callers
-  /// must still hold an undelivered arrival so no count can be zero.
-  void AddExpected(int n) {
-    for (int p = 0; p < num_splits_; ++p) {
-      remaining_[static_cast<size_t>(p)].fetch_add(n,
-                                                   std::memory_order_acq_rel);
-    }
-  }
+  ShuffleBoard(int num_splits, int expected)
+      : pending_(static_cast<size_t>(num_splits)), remaining_(expected) {}
 
   /// Stage a copy of an upstream output bucket.  Spilled buckets carry
   /// their run metadata instead of records, so staging one costs no
@@ -130,16 +100,10 @@ class ShuffleBoard {
     DepositCounter()->Inc();
   }
 
-  /// Record `n` completed deposit-arrivals on every split; appends each
-  /// split whose count reached zero with this call to *ready (exactly one
-  /// caller observes the zero crossing).
-  void ArriveAll(int n, std::vector<int>* ready) {
-    for (int p = 0; p < num_splits_; ++p) {
-      if (remaining_[static_cast<size_t>(p)].fetch_sub(
-              n, std::memory_order_acq_rel) == n) {
-        ready->push_back(p);
-      }
-    }
+  /// Record `n` completed arrivals; true for the one call that takes the
+  /// count to zero, after which every split's input is staged.
+  bool ArriveAll(int n) {
+    return remaining_.fetch_sub(n, std::memory_order_acq_rel) == n;
   }
 
   /// All staged buckets for `split`, in source order.  Destructive: each
@@ -158,8 +122,6 @@ class ShuffleBoard {
     return out;
   }
 
-  int num_splits() const { return num_splits_; }
-
  private:
   struct Slot {
     int source;
@@ -171,9 +133,8 @@ class ShuffleBoard {
     return static_cast<size_t>(split) % kStripes;
   }
 
-  const int num_splits_;
   std::vector<std::vector<Slot>> pending_;  // per destination split
-  std::unique_ptr<std::atomic<int>[]> remaining_;  // per destination split
+  std::atomic<int> remaining_;
   std::array<std::mutex, kStripes> stripes_;
 };
 
@@ -195,21 +156,18 @@ struct ThreadRunner::Stage {
   DataSetPtr ds;
   Stage* downstream = nullptr;
   Stage* upstream = nullptr;
-  /// Staged input deposited by the upstream stage (owns the per-split
-  /// deposit counts gating this stage's tasks); null for the first stage,
-  /// whose tasks read their (already complete) input directly.
+  /// Staged input deposited by the upstream stage (owns the countdown
+  /// gating this stage's tasks); null for the first stage, whose tasks
+  /// read their (already complete) input directly.
   std::unique_ptr<ShuffleBoard> board;
   /// Sources still to execute (tasks already complete are excluded).
   std::vector<int> pending;
-  /// wanted[s]: this stage has a pending task for split s (ready splits
-  /// not wanted are re-runs whose task already completed).
-  std::vector<char> wanted;
   /// This stage's tasks not yet completed; the body that takes it to zero
   /// closes the stage (flushes downstream combine buffers).
   std::atomic<int> bodies_remaining{0};
-  /// Source ids for deposits that do not correspond to one upstream task
-  /// row (worker combine flushes, morsel partials); starts past the real
-  /// source range.
+  /// Source ids for worker combine flushes, whose deposits do not
+  /// correspond to one upstream task row; starts past the real source
+  /// range.
   std::atomic<int> next_synth_source{0};
   /// Worker-side combining of this stage's input edge: set when this
   /// stage is a reduce fed by a combiner-equipped map and no memory
@@ -218,19 +176,6 @@ struct ThreadRunner::Stage {
   std::vector<std::unique_ptr<CombineBuffer>> buffers;  // one per worker
 
   bool combining() const { return static_cast<bool>(combiner); }
-};
-
-/// A first-stage map task split into independently stealable chunks.
-struct ThreadRunner::MorselGroup {
-  Stage* stage = nullptr;
-  int source = 0;
-  /// Downstream is a reduce: each morsel deposits its raw partial buckets
-  /// directly (multiset semantics) so reduces start before assembly.
-  bool deposit_partials = false;
-  std::vector<std::vector<KeyValue>> chunks;  // input slices, morsel order
-  std::vector<std::vector<Bucket>> rows;      // per-morsel output rows
-  std::atomic<int> remaining{0};
-  std::atomic<bool> failed{false};
 };
 
 /// Book-keeping shared by every work unit of one Wait call.
@@ -243,18 +188,12 @@ struct ThreadRunner::ChainContext {
   std::vector<std::unique_ptr<Stage>> stages;
 };
 
-ThreadRunner::ThreadRunner(MapReduce* program, int num_workers,
-                           int morsel_records)
+ThreadRunner::ThreadRunner(MapReduce* program, int num_workers)
     : program_(program) {
   if (num_workers <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     num_workers = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  if (morsel_records < 0) {
-    morsel_records =
-        static_cast<int>(program->opts().GetInt("mrs-morsel-records", 0));
-  }
-  morsel_records_ = morsel_records;
   pool_ = std::make_unique<WorkStealingPool>(static_cast<size_t>(num_workers));
 }
 
@@ -304,12 +243,12 @@ Status ThreadRunner::RunChain(const DataSetPtr& dataset) {
     up->downstream = stage;
     stage->upstream = up;
     DataSet& uds = *up->ds;
-    stage->board = std::make_unique<ShuffleBoard>(uds.num_splits());
-    stage->board->InitExpected(static_cast<int>(up->pending.size()));
+    // The chain holds only incomplete datasets, so `up` has at least one
+    // pending task and this countdown is never born at zero.
+    stage->board = std::make_unique<ShuffleBoard>(
+        uds.num_splits(), static_cast<int>(up->pending.size()));
     stage->next_synth_source.store(uds.num_sources(),
                                    std::memory_order_relaxed);
-    stage->wanted.assign(static_cast<size_t>(stage->ds->num_sources()), 0);
-    for (int s : stage->pending) stage->wanted[static_cast<size_t>(s)] = 1;
     // Rows the upstream dataset already has (re-runs after a failure)
     // are staged up front; live tasks deposit theirs as they complete.
     for (int s = 0; s < uds.num_sources(); ++s) {
@@ -368,26 +307,22 @@ void ThreadRunner::RunTaskBody(const std::shared_ptr<ChainContext>& ctx,
                                Stage* stage, int source) {
   if (!ctx->failed.load(std::memory_order_acquire) &&
       stage->ds->TryClaimTask(source)) {
-    if (!TryMorselFanOut(ctx, stage, source)) {
-      DataSet& ds = *stage->ds;
-      TaskInput input = stage->board ? TaskInput{stage->board->Take(source)}
-                                     : TaskInput::Column(*ds.input(), source);
-      Result<std::vector<Bucket>> row =
-          ExecuteTask(*program_, TaskSpec::For(ds, source), std::move(input),
-                      TaskEnv{.name = "thread"});
-      if (row.ok()) {
-        CompleteTask(ctx, stage, source, &*row, /*arrivals_delivered=*/false);
-      } else {
-        FailTask(ctx, stage, source, row.status());
-        CompleteTask(ctx, stage, source, nullptr,
-                     /*arrivals_delivered=*/false);
-      }
+    DataSet& ds = *stage->ds;
+    TaskInput input = stage->board ? TaskInput{stage->board->Take(source)}
+                                   : TaskInput::Column(*ds.input(), source);
+    Result<std::vector<Bucket>> row =
+        ExecuteTask(*program_, TaskSpec::For(ds, source), std::move(input),
+                    TaskEnv{.name = "thread"});
+    if (row.ok()) {
+      CompleteTask(ctx, stage, source, &*row);
+    } else {
+      FailTask(ctx, stage, source, row.status());
+      CompleteTask(ctx, stage, source, nullptr);
     }
-    // Morsel fan-out: the group's last morsel completes the task.
   } else {
     // Failure drain (or lost claim): still propagate arrivals and close
     // bookkeeping so downstream tasks get submitted and Wait cannot hang.
-    CompleteTask(ctx, stage, source, nullptr, /*arrivals_delivered=*/false);
+    CompleteTask(ctx, stage, source, nullptr);
   }
   FinishUnit(ctx);
 }
@@ -408,11 +343,10 @@ void ThreadRunner::FailChain(const std::shared_ptr<ChainContext>& ctx,
 
 void ThreadRunner::CompleteTask(const std::shared_ptr<ChainContext>& ctx,
                                 Stage* stage, int source,
-                                std::vector<Bucket>* row,
-                                bool arrivals_delivered) {
+                                std::vector<Bucket>* row) {
   Stage* down = stage->downstream;
   int num_splits = stage->ds->num_splits();
-  if (down != nullptr && !arrivals_delivered) {
+  if (down != nullptr) {
     bool withheld = false;
     if (row != nullptr && down->combining()) {
       int w = pool_->CurrentWorkerIndex();
@@ -461,19 +395,12 @@ void ThreadRunner::CompleteTask(const std::shared_ptr<ChainContext>& ctx,
 
 void ThreadRunner::Arrive(const std::shared_ptr<ChainContext>& ctx,
                           Stage* consumer, int n) {
-  std::vector<int> ready;
-  consumer->board->ArriveAll(n, &ready);
-  if (ready.empty()) return;
-  if (consumer->upstream != nullptr &&
-      consumer->upstream->bodies_remaining.load(std::memory_order_acquire) >
-          0) {
-    PipelinedCounter()->Inc(static_cast<int64_t>(ready.size()));
+  if (!consumer->board->ArriveAll(n)) return;
+  if (consumer->upstream->bodies_remaining.load(std::memory_order_acquire) >
+      0) {
+    PipelinedCounter()->Inc(static_cast<int64_t>(consumer->pending.size()));
   }
-  for (int s : ready) {
-    if (consumer->wanted[static_cast<size_t>(s)]) {
-      SubmitTask(ctx, consumer, s);
-    }
-  }
+  for (int s : consumer->pending) SubmitTask(ctx, consumer, s);
 }
 
 void ThreadRunner::FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
@@ -491,7 +418,7 @@ void ThreadRunner::FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
       std::vector<KeyValue>& recs = buf->per_split[p];
       if (recs.empty()) continue;
       // The combiner belongs to the upstream map: it runs under that
-      // operation's broadcast, exactly as inside RunMapTask.
+      // operation's broadcast, exactly as inside the map task.
       Bucket b(synth, static_cast<int>(p));
       Status combined = RunUserCode(
           consumer->upstream->ds->options(), [&]() -> Status {
@@ -514,157 +441,6 @@ void ThreadRunner::FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
   // Withheld arrivals drain even on a combiner failure so the chain
   // cannot hang.
   Arrive(ctx, consumer, held);
-}
-
-bool ThreadRunner::TryMorselFanOut(const std::shared_ptr<ChainContext>& ctx,
-                                   Stage* stage, int source) {
-  // Morsels apply to first-stage map tasks only (that is where oversized
-  // file/local splits live); budgeted runs keep the whole-task path, whose
-  // spill machinery owns large inputs.
-  if (morsel_records_ <= 0 || stage->board != nullptr ||
-      stage->ds->kind() != DataSetKind::kMap ||
-      MemoryBudget::Process().active()) {
-    return false;
-  }
-  DataSetPtr in = stage->ds->input();
-  if (!in) return false;
-  Result<std::vector<KeyValue>> input =
-      TaskInput::Column(*in, source).Load(LocalFetch);
-  if (!input.ok()) {
-    FailTask(ctx, stage, source, input.status());
-    CompleteTask(ctx, stage, source, nullptr, /*arrivals_delivered=*/false);
-    return true;
-  }
-  size_t threshold = static_cast<size_t>(morsel_records_);
-  size_t n = input->size();
-  size_t morsels = threshold == 0 ? 1 : (n + threshold - 1) / threshold;
-  if (morsels < 2) return false;  // small task: run whole
-
-  auto group = std::make_shared<MorselGroup>();
-  group->stage = stage;
-  group->source = source;
-  group->deposit_partials =
-      stage->downstream != nullptr &&
-      stage->downstream->ds->kind() == DataSetKind::kReduce;
-  group->chunks.reserve(morsels);
-  std::vector<KeyValue>& all = *input;
-  for (size_t start = 0; start < n; start += threshold) {
-    size_t end = std::min(n, start + threshold);
-    auto first = all.begin() + static_cast<std::ptrdiff_t>(start);
-    auto last = all.begin() + static_cast<std::ptrdiff_t>(end);
-    group->chunks.emplace_back(std::make_move_iterator(first),
-                               std::make_move_iterator(last));
-  }
-  group->rows.resize(group->chunks.size());
-  group->remaining.store(static_cast<int>(group->chunks.size()),
-                         std::memory_order_relaxed);
-  if (group->deposit_partials) {
-    // This task now delivers one arrival per morsel instead of one; its
-    // own (still undelivered) arrival keeps every split's count positive
-    // while the expectation is raised, so no split can hit zero early.
-    stage->downstream->board->AddExpected(
-        static_cast<int>(group->chunks.size()) - 1);
-  }
-  MorselCounter()->Inc(static_cast<int64_t>(group->chunks.size()));
-  ctx->outstanding.fetch_add(static_cast<int>(group->chunks.size()),
-                             std::memory_order_acq_rel);
-  for (size_t i = 0; i < group->chunks.size(); ++i) {
-    if (!pool_->Submit([this, ctx, group, i] { RunMorsel(ctx, group, i); })) {
-      RunMorsel(ctx, group, i);
-    }
-  }
-  return true;
-}
-
-void ThreadRunner::RunMorsel(const std::shared_ptr<ChainContext>& ctx,
-                             const std::shared_ptr<MorselGroup>& group,
-                             size_t index) {
-  Stage* stage = group->stage;
-  DataSet& ds = *stage->ds;
-  bool produced = false;
-  if (!ctx->failed.load(std::memory_order_acquire)) {
-    obs::ScopedSpan span(ds.options().op_name, "morsel");
-    span.set_task(ds.id(), group->source);
-    DataSetOptions opts = ds.options();
-    // The per-task combiner runs once over the assembled row (keeping it
-    // byte-identical to the serial runner's); raw morsel output is what
-    // feeds the reduce board early.
-    opts.use_combiner = false;
-    Status status = RunUserCode(opts, [&]() -> Status {
-      MRS_ASSIGN_OR_RETURN(group->rows[index],
-                           RunMapTask(*program_, opts, ds.num_splits(),
-                                      group->chunks[index], nullptr));
-      return Status::Ok();
-    });
-    if (status.ok()) {
-      produced = true;
-      if (group->deposit_partials) {
-        Stage* down = stage->downstream;
-        int synth =
-            down->next_synth_source.fetch_add(1, std::memory_order_relaxed);
-        for (int p = 0; p < ds.num_splits(); ++p) {
-          Bucket& b = group->rows[index][static_cast<size_t>(p)];
-          if (b.records().empty()) continue;
-          down->board->Deposit(synth, p, b);
-        }
-      }
-    } else {
-      FailTask(ctx, stage, group->source, std::move(status));
-    }
-  }
-  if (!produced) group->failed.store(true, std::memory_order_release);
-  group->chunks[index].clear();
-  group->chunks[index].shrink_to_fit();
-  if (group->deposit_partials) Arrive(ctx, stage->downstream, 1);
-  if (group->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinalizeMorselGroup(ctx, group);
-  }
-  FinishUnit(ctx);
-}
-
-void ThreadRunner::FinalizeMorselGroup(
-    const std::shared_ptr<ChainContext>& ctx,
-    const std::shared_ptr<MorselGroup>& group) {
-  Stage* stage = group->stage;
-  DataSet& ds = *stage->ds;
-  if (group->failed.load(std::memory_order_acquire)) {
-    ds.set_task_state(group->source, TaskState::kFailed);
-    CompleteTask(ctx, stage, group->source, nullptr, group->deposit_partials);
-    return;
-  }
-  // Assemble the task's row: concatenate morsel partials in morsel order
-  // (reproducing the serial emission order per bucket), then apply the
-  // per-task combiner once — byte-identical to RunMapTask on the whole
-  // input.
-  int num_splits = ds.num_splits();
-  std::vector<Bucket> row;
-  row.reserve(static_cast<size_t>(num_splits));
-  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-  for (std::vector<Bucket>& partial : group->rows) {
-    for (int p = 0; p < num_splits; ++p) {
-      row[static_cast<size_t>(p)].Absorb(
-          std::move(partial[static_cast<size_t>(p)]));
-    }
-  }
-  Status status = RunUserCode(ds.options(), [&]() -> Status {
-    if (!ds.options().use_combiner) return Status::Ok();
-    MRS_ASSIGN_OR_RETURN(ReduceFn combiner,
-                         FindCombiner(*program_, ds.options()));
-    for (Bucket& b : row) {
-      if (b.records().empty()) continue;
-      MRS_ASSIGN_OR_RETURN(
-          *b.mutable_records(),
-          SortGroupApply(std::move(*b.mutable_records()), combiner));
-    }
-    return Status::Ok();
-  });
-  if (status.ok()) {
-    for (Bucket& b : row) b.MarkLoaded();
-    CompleteTask(ctx, stage, group->source, &row, group->deposit_partials);
-  } else {
-    FailTask(ctx, stage, group->source, std::move(status));
-    CompleteTask(ctx, stage, group->source, nullptr, group->deposit_partials);
-  }
 }
 
 void ThreadRunner::FinishUnit(const std::shared_ptr<ChainContext>& ctx) {

@@ -14,18 +14,15 @@
 //    map sees its input exactly as the serial runner would produce it;
 //  * shuffle output destined for a *reduce* stage only needs the right
 //    input multiset (the reduce kernel merges it by (key, value) before
-//    grouping), which is what licenses the two scaling optimizations
-//    below;
+//    grouping), which is what licenses the per-worker combiners below;
 //  * a dataset's bucket grid is only written via DataSet::SetRow (one row
 //    per task, internally locked).
 //
-// Scheduling (v2) is pipelined per split rather than barriered per
-// stage: the shuffle board keeps a per-split count of outstanding
-// deposits, and the downstream task for split s is submitted the moment
-// its count reaches zero — arrivals are recorded right after a task (or
-// morsel) deposits, not when its body finishes bookkeeping, so reduce
-// work starts while upstream tasks are still combining and publishing
-// their own rows.
+// Scheduling: one countdown per stage edge.  The shuffle board between
+// two stages counts the upstream arrivals still outstanding; the arrival
+// that takes it to zero submits every downstream task at once.  A task
+// arrives right after it deposits, before it publishes its own row, so
+// the last upstream task's bookkeeping overlaps the downstream stage.
 //
 // Per-worker combiners: when a map stage has a combine function and its
 // downstream is a reduce (and no memory budget is active), each pool
@@ -35,14 +32,6 @@
 // traffic and the record volume the reduce must sort.  Sound for the
 // same reason combine-before-spill is: a combiner must satisfy
 // reduce ∘ partial-combine = reduce.
-//
-// Morsels: with --mrs-morsel-records > 0, a first-stage map task whose
-// input exceeds the threshold is split into independently stealable
-// morsels.  Morsel outputs are concatenated in morsel order (exactly the
-// serial emission order) and combined once per task, so the task's row is
-// byte-identical to the serial runner's; when the downstream stage is a
-// reduce, each morsel additionally deposits its raw partial buckets
-// directly so reduces can start before the task has assembled its row.
 //
 // Map/Reduce/Combine/Partition functions run concurrently on one shared
 // program instance; like a Mrs slave's forked workers they must not
@@ -65,10 +54,7 @@ class MapReduce;
 class ThreadRunner final : public Runner {
  public:
   /// `num_workers` <= 0 selects std::thread::hardware_concurrency().
-  /// `morsel_records` < 0 reads --mrs-morsel-records from the program's
-  /// options (default 0 = no morsel splitting).
-  ThreadRunner(MapReduce* program, int num_workers = 0,
-               int morsel_records = -1);
+  explicit ThreadRunner(MapReduce* program, int num_workers = 0);
   ~ThreadRunner() override;
 
   void Submit(const DataSetPtr& dataset) override { (void)dataset; }
@@ -79,7 +65,6 @@ class ThreadRunner final : public Runner {
   int num_workers() const {
     return static_cast<int>(pool_->num_threads());
   }
-  int morsel_records() const { return morsel_records_; }
   /// Work steals performed by this runner's pool so far (tests/benches).
   int64_t steal_count() const { return pool_->steal_count(); }
 
@@ -87,11 +72,10 @@ class ThreadRunner final : public Runner {
   struct ChainContext;
   struct Stage;
   struct CombineBuffer;
-  struct MorselGroup;
 
   /// Execute the chain of incomplete computing datasets ending at
-  /// `dataset` (deepest first), submitting each downstream task the
-  /// moment its split's last shuffle deposit arrives.
+  /// `dataset` (deepest first), submitting a stage's tasks the moment the
+  /// last upstream shuffle deposit arrives.
   Status RunChain(const DataSetPtr& dataset);
   void SubmitTask(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                   int source);
@@ -104,31 +88,20 @@ class ThreadRunner final : public Runner {
   void FailChain(const std::shared_ptr<ChainContext>& ctx, Status status);
   /// Deliver a finished task's row (deposit downstream or enter a worker
   /// combine buffer, record arrivals, SetRow) and run stage-close
-  /// bookkeeping.  `row` is null for failed/skipped tasks;
-  /// `arrivals_delivered` marks tasks whose morsels already deposited.
+  /// bookkeeping.  `row` is null for failed/skipped tasks.
   void CompleteTask(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
-                    int source, std::vector<Bucket>* row,
-                    bool arrivals_delivered);
-  /// Record `n` deposit-arrivals on every split of `consumer`'s board and
-  /// submit the tasks of splits that became ready.
+                    int source, std::vector<Bucket>* row);
+  /// Record `n` deposit-arrivals on `consumer`'s board; the arrival that
+  /// completes its input submits every pending task of the stage.
   void Arrive(const std::shared_ptr<ChainContext>& ctx, Stage* consumer,
               int n);
   /// Combine and deposit a worker buffer's contents, releasing its
   /// withheld arrivals.
   void FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
                           Stage* consumer, CombineBuffer* buf);
-  /// Fan a first-stage map task out into morsels; returns false when the
-  /// task does not qualify (then the caller runs it whole).
-  bool TryMorselFanOut(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
-                       int source);
-  void RunMorsel(const std::shared_ptr<ChainContext>& ctx,
-                 const std::shared_ptr<MorselGroup>& group, size_t index);
-  void FinalizeMorselGroup(const std::shared_ptr<ChainContext>& ctx,
-                           const std::shared_ptr<MorselGroup>& group);
   void FinishUnit(const std::shared_ptr<ChainContext>& ctx);
 
   MapReduce* program_;
-  int morsel_records_ = 0;
   std::unique_ptr<WorkStealingPool> pool_;
 };
 

@@ -28,9 +28,7 @@ Status RunSerial(MapReduce* program) {
 }
 
 Status RunThread(MapReduce* program, int num_workers) {
-  Job job(program,
-          std::make_unique<ThreadRunner>(program, num_workers,
-                                         /*morsel_records=*/-1));
+  Job job(program, std::make_unique<ThreadRunner>(program, num_workers));
   // Task decomposition must match the serial runner (same default split
   // count) so output layout is identical regardless of worker count.
   int parallel = static_cast<int>(program->opts().GetInt("mrs-num-slaves", 2) *
@@ -66,9 +64,8 @@ void ApplyMasterOptions(const Options& opts, Master::Config* config) {
   config->missed_ping_limit =
       static_cast<int>(opts.GetInt("mrs-missed-ping-limit", 5));
   config->drain_timeout = opts.GetDouble("mrs-drain-timeout", 10.0);
-  double quantile = opts.GetDouble("mrs-speculation-quantile", 0.9);
-  config->enable_speculation = quantile > 0;
-  if (quantile > 0) config->speculation_quantile = quantile;
+  config->speculation_quantile =
+      opts.GetDouble("mrs-speculation-quantile", 0.9);
   config->quarantine_failure_threshold =
       static_cast<int>(opts.GetInt("mrs-quarantine-failures", 3));
   config->probation_seconds = opts.GetDouble("mrs-probation-seconds", 5.0);
@@ -149,8 +146,7 @@ Status RunProgram(const ProgramFactory& factory, MapReduce* program,
   if (config.impl == "serial") return RunSerial(program);
   if (config.impl == "thread") {
     Job job(program,
-            std::make_unique<ThreadRunner>(program, config.num_workers,
-                                           config.morsel_records));
+            std::make_unique<ThreadRunner>(program, config.num_workers));
     job.set_default_parallelism(config.num_slaves * config.tasks_per_slave);
     return program->Run(job);
   }

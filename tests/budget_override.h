@@ -8,8 +8,8 @@
 namespace mrs {
 
 /// Pins the process memory budget for one test body and restores it after.
-/// Morsels switch off under a budget, so a test of morsel behavior pins it
-/// to 0 to stay meaningful under an ambient $MRS_MEMORY_BUDGET.
+/// Per-worker combiners switch off under a budget, so a test of them pins
+/// it to 0 to stay meaningful under an ambient $MRS_MEMORY_BUDGET.
 class BudgetOverride {
  public:
   explicit BudgetOverride(int64_t limit)

@@ -297,6 +297,26 @@ TEST(Master, WaitForSlavesTimesOut) {
   (*master)->Shutdown();
 }
 
+// /status reports the speculation thresholds in force: a quantile <= 0
+// switches speculation off and reads 0; the straggler multiplier is 2.
+TEST(Master, StatusReportsSpeculationThresholds) {
+  for (double quantile : {0.9, 0.0, -1.0}) {
+    Master::Config config;
+    config.speculation_quantile = quantile;
+    auto master = Master::Start(config);
+    ASSERT_TRUE(master.ok());
+    std::string status = (*master)->StatusJson();
+    std::string reported = quantile > 0 ? "0.900000" : "0.000000";
+    EXPECT_NE(status.find("\"speculation_quantile\":" + reported),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("\"speculation_multiplier\":2.000000"),
+              std::string::npos)
+        << status;
+    (*master)->Shutdown();
+  }
+}
+
 // ---- Failure-report idempotency ---------------------------------------------
 
 // Report a task failure straight over the control channel, as a slave

@@ -207,25 +207,21 @@ std::unique_ptr<Runner> Serial(MapReduce* p) {
   return std::make_unique<SerialRunner>(p);
 }
 std::unique_ptr<Runner> ThreadWorkerCombiners(MapReduce* p) {
-  return std::make_unique<ThreadRunner>(p, 4, /*morsel_records=*/0);
-}
-std::unique_ptr<Runner> ThreadMorsels(MapReduce* p) {
-  return std::make_unique<ThreadRunner>(p, 4, /*morsel_records=*/8);
+  return std::make_unique<ThreadRunner>(p, 4);
 }
 
-// The thread runner's per-worker combine flush and morsel finalize run the
-// combiner outside RunMapTask; both must still see the map's broadcast and
-// stay byte-identical to serial.
+// The thread runner's per-worker combine flush runs the combiner outside
+// the map task, and a map-only job combines inside it; both must see the
+// map's broadcast and stay byte-identical to serial.
 TEST(Funnel, CombinersSeeTheBroadcastOnTheThreadRunner) {
-  // Worker combiners and morsels only run without a memory budget.
+  // Worker combiners only run without a memory budget.
   BudgetOverride unbudgeted(0);
   std::string serial_reduce = RunBroadcastCombine(Serial, false);
   std::string serial_map = RunBroadcastCombine(Serial, true);
   EXPECT_EQ(serial_reduce.find("-1000000"), std::string::npos);
   EXPECT_EQ(serial_map.find("-1000000"), std::string::npos);
   EXPECT_EQ(RunBroadcastCombine(ThreadWorkerCombiners, false), serial_reduce);
-  EXPECT_EQ(RunBroadcastCombine(ThreadMorsels, true), serial_map);
-  EXPECT_EQ(RunBroadcastCombine(ThreadMorsels, false), serial_reduce);
+  EXPECT_EQ(RunBroadcastCombine(ThreadWorkerCombiners, true), serial_map);
 }
 
 // ---- Spill directories and run lifetimes -----------------------------------

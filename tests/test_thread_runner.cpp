@@ -1,9 +1,11 @@
 // Tests for the thread implementation: the work-stealing pool's claim /
 // steal / drain semantics, and ThreadRunner's determinism, pipelined
 // multi-stage chains, and failure behavior (an exception on a worker must
-// surface as a Status; a failed chain must not hang Wait).
+// surface as a Status; a failed chain must not hang Wait; a re-Wait re-runs
+// only the tasks that did not complete).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -14,11 +16,8 @@
 #include "core/job.h"
 #include "core/serial_runner.h"
 #include "core/thread_runner.h"
-#include "fs/spill.h"
 #include "obs/metrics.h"
 #include "ser/record.h"
-
-#include "budget_override.h"
 
 namespace mrs {
 namespace {
@@ -314,98 +313,6 @@ TEST(ThreadRunner, SkewedTaskCostsDoNotStallTheJob) {
   EXPECT_EQ(program.quick_done.load(), kTasks - 1);
 }
 
-// ---- Morsels and pipelined scheduling ------------------------------------
-
-TEST(ThreadRunner, MorselizedTasksMatchSerialOutput) {
-  BudgetOverride unbudgeted(0);
-  ThreadedWordCount serial_program;
-  ASSERT_TRUE(serial_program.Init(Options()).ok());
-  std::string expected =
-      RunWordCount<SerialRunner>(&serial_program, /*parallelism=*/3);
-  obs::Counter* morsels =
-      obs::Registry::Instance().GetCounter("mrs.thread.morsels");
-  for (int workers : {2, 4}) {
-    ThreadedWordCount program;
-    ASSERT_TRUE(program.Init(Options()).ok());
-    int64_t before = morsels->value();
-    // 3 map tasks x 20 records, morsel threshold 4: five morsels per task.
-    EXPECT_EQ(RunWordCount<ThreadRunner>(&program, /*parallelism=*/3, workers,
-                                         /*morsel_records=*/4),
-              expected)
-        << "workers=" << workers;
-    EXPECT_GT(morsels->value(), before) << "workers=" << workers;
-  }
-}
-
-// A WordCount whose per-task combiner refuses to finish until some reduce
-// invocation has run.  Under morsel fan-out the per-task combiner runs in
-// the task finalizer, after every morsel has already deposited its raw
-// partial counts for the reduce stage — so the job can complete only if a
-// reduce task genuinely started before the slowest map task finished.
-// The old stage-barrier scheduler deadlocks here (and the test would fail
-// via the combiner's escape-hatch timeout).
-class PipelinedWordCount : public ThreadedWordCount {
- public:
-  std::atomic<bool> reduce_started{false};
-  std::atomic<bool> combine_timed_out{false};
-
-  void Reduce(const Value& key, const ValueList& values,
-              const ValueEmitter& emit) override {
-    reduce_started.store(true, std::memory_order_release);
-    ThreadedWordCount::Reduce(key, values, emit);
-  }
-  void Combine(const Value& key, const ValueList& values,
-               const ValueEmitter& emit) override {
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!reduce_started.load(std::memory_order_acquire)) {
-      if (std::chrono::steady_clock::now() > deadline) {
-        combine_timed_out.store(true, std::memory_order_release);
-        break;
-      }
-      std::this_thread::yield();
-    }
-    ThreadedWordCount::Reduce(key, values, emit);
-  }
-};
-
-TEST(ThreadRunner, ReduceStartsBeforeSlowestMapTaskFinishes) {
-  BudgetOverride unbudgeted(0);
-  PipelinedWordCount program;
-  ASSERT_TRUE(program.Init(Options()).ok());
-  obs::Counter* pipelined =
-      obs::Registry::Instance().GetCounter("mrs.thread.pipelined_submits");
-  int64_t pipelined_before = pipelined->value();
-
-  // One oversized map task split into six morsels; three workers so the
-  // finalizer blocking in Combine still leaves workers free for reduces.
-  Job job(&program,
-          std::make_unique<ThreadRunner>(&program, /*num_workers=*/3,
-                                         /*morsel_records=*/10));
-  job.set_default_parallelism(4);
-  DataSetPtr input = job.LocalData(WordInput(60), /*num_splits=*/1);
-  DataSetOptions map_options;
-  map_options.use_combiner = true;
-  DataSetPtr mapped = job.MapData(input, map_options);
-  DataSetOptions reduce_options;
-  reduce_options.num_splits = 4;
-  DataSetPtr reduced = job.ReduceData(mapped, reduce_options);
-  auto out = job.Collect(reduced);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-
-  EXPECT_TRUE(program.reduce_started.load());
-  EXPECT_FALSE(program.combine_timed_out.load())
-      << "no reduce task started while the map task was still finishing";
-  EXPECT_GT(pipelined->value(), pipelined_before);
-
-  // And the pipelined run still produces the serial answer.
-  ThreadedWordCount serial_program;
-  ASSERT_TRUE(serial_program.Init(Options()).ok());
-  std::sort(out->begin(), out->end(), KeyValueLess);
-  EXPECT_EQ(EncodeTextRecords(*out),
-            RunWordCount<SerialRunner>(&serial_program, /*parallelism=*/6));
-}
-
 // ---- Failure propagation -------------------------------------------------
 
 class ThrowingNonStdMap : public ThreadedWordCount {
@@ -426,6 +333,116 @@ TEST(ThreadRunner, NonStandardExceptionAlsoBecomesStatus) {
   EXPECT_NE(status.ToString().find("non-standard exception"),
             std::string::npos)
       << status.ToString();
+}
+
+// ---- Re-running after a partial failure ---------------------------------
+
+// One map task of four throws on its first attempt, after waiting for the
+// other three rows to complete, so the failed Wait leaves a partially
+// complete map dataset behind.
+class FlakyMapWordCount : public ThreadedWordCount {
+ public:
+  static constexpr int kSources = 4;
+  static constexpr int kFlaky = 3;
+
+  std::atomic<bool> armed{true};
+  std::atomic<const DataSet*> mapped{nullptr};
+  std::array<std::atomic<int>, kSources> calls{};
+
+  void Map(const Value& key, const Value& value,
+           const Emitter& emit) override {
+    int source = static_cast<int>(key.AsInt() % kSources);
+    calls[static_cast<size_t>(source)].fetch_add(1);
+    if (source == kFlaky && armed.load(std::memory_order_acquire)) {
+      const DataSet& ds = *mapped.load(std::memory_order_acquire);
+      auto others_complete = [&] {
+        for (int s = 0; s < kSources; ++s) {
+          if (s != kFlaky && ds.task_state(s) != TaskState::kComplete) {
+            return false;
+          }
+        }
+        return true;
+      };
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!others_complete() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      throw std::runtime_error("flaky map task");
+    }
+    ThreadedWordCount::Map(key, value, emit);
+  }
+  // Int key i goes to split i % num_splits, so map task s reads exactly
+  // the records whose key is s mod kSources.
+  int Partition(const Value& key, int num_splits) const override {
+    if (key.is_int()) return static_cast<int>(key.AsInt() % num_splits);
+    return MapReduce::Partition(key, num_splits);
+  }
+};
+
+/// input → map (kSources tasks) → reduce on `job`.
+DataSetPtr FlakyChain(Job& job, FlakyMapWordCount* program) {
+  job.set_default_parallelism(3);
+  DataSetPtr input =
+      job.LocalData(WordInput(40), FlakyMapWordCount::kSources);
+  DataSetPtr mapped = job.MapData(input);
+  program->mapped.store(mapped.get(), std::memory_order_release);
+  return job.ReduceData(mapped);
+}
+
+// The re-Wait stages the three complete map rows on the reduce's board up
+// front and counts down only the re-run task: the output matches serial
+// byte for byte and no completed map task runs again.
+TEST(ThreadRunner, ReWaitAfterPartialMapFailureMatchesSerial) {
+  FlakyMapWordCount serial_program;
+  serial_program.armed.store(false);
+  ASSERT_TRUE(serial_program.Init(Options()).ok());
+  Job serial_job(&serial_program,
+                 std::make_unique<SerialRunner>(&serial_program));
+  auto expected =
+      serial_job.Collect(FlakyChain(serial_job, &serial_program));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    FlakyMapWordCount program;
+    ASSERT_TRUE(program.Init(Options()).ok());
+    Job job(&program, std::make_unique<ThreadRunner>(&program, workers));
+    DataSetPtr reduced = FlakyChain(job, &program);
+    Status first = job.Wait(reduced);
+    ASSERT_FALSE(first.ok());
+    EXPECT_NE(first.ToString().find("flaky map task"), std::string::npos)
+        << first.ToString();
+
+    const DataSet& mapped = *reduced->input();
+    std::array<int, FlakyMapWordCount::kSources> after_failure{};
+    for (int s = 0; s < FlakyMapWordCount::kSources; ++s) {
+      EXPECT_EQ(mapped.task_state(s) == TaskState::kComplete,
+                s != FlakyMapWordCount::kFlaky)
+          << "map task " << s;
+      after_failure[static_cast<size_t>(s)] =
+          program.calls[static_cast<size_t>(s)].load();
+    }
+
+    program.armed.store(false, std::memory_order_release);
+    auto out = job.Collect(reduced);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(EncodeTextRecords(*out), EncodeTextRecords(*expected));
+
+    for (int s = 0; s < FlakyMapWordCount::kSources; ++s) {
+      int once = serial_program.calls[static_cast<size_t>(s)].load();
+      int ran = program.calls[static_cast<size_t>(s)].load();
+      if (s == FlakyMapWordCount::kFlaky) {
+        // One call on the failed attempt (it throws on its first record),
+        // then the full re-run.
+        EXPECT_EQ(ran, once + 1);
+      } else {
+        EXPECT_EQ(after_failure[static_cast<size_t>(s)], once);
+        EXPECT_EQ(ran, once) << "completed map task " << s << " ran again";
+      }
+    }
+  }
 }
 
 }  // namespace
