@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: value
-// serialization, the record format, sort+group, spill-run reads, XML-RPC
-// framing, Halton generation, and the MiniPy engines — the per-sample
-// rates behind Fig 3.
+// serialization and hashing, the record format, sort+group, spill-run
+// reads, XML-RPC framing, Halton generation, and the MiniPy engines — the
+// per-sample rates behind Fig 3.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -66,6 +66,19 @@ void BM_SortGroup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortGroup)->Arg(1000)->Arg(100000);
+
+// The default partitioner's per-record cost: one Hash per emitted key.
+void BM_ValueHash(benchmark::State& state) {
+  auto records = MakeRecords(1000);
+  for (auto _ : state) {
+    uint64_t h = 0;
+    for (const KeyValue& kv : records) h ^= kv.key.Hash();
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size()));
+}
+BENCHMARK(BM_ValueHash);
 
 // Streams one spill run through SpillRunSource (checksum pass included).
 // Items/s must stay flat from 1k to 100k records: a per-record cost that

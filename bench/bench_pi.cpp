@@ -31,6 +31,7 @@ namespace {
 
 constexpr int kNumSlaves = 4;
 constexpr int kMapTasks = 10;  // Hadoop PiEstimator's default
+constexpr int64_t kScalingSamples = 1000000;  // thread-scaling cell size
 
 /// Real speedup available to the in-process cluster (slaves are threads).
 double EffectiveParallelism() {
@@ -182,7 +183,9 @@ int main(int argc, char** argv) {
 
   // Thread-runner scaling on the native inner loop: the shared-memory
   // implementation has no cluster bring-up at all, so this curve isolates
-  // pure compute scaling across 1/2/4 pool workers.
+  // pure compute scaling across 1/2/4 pool workers.  The cell is a fixed
+  // 10^6 samples whatever max_exponent is: smaller cells time well under
+  // a millisecond at one worker, where fixed costs swamp the speedup.
   std::vector<bench::BenchMetric> json_metrics = {
       {"max_exponent", static_cast<double>(max_exp)},
       {"native_s_per_sample", native_rate},
@@ -200,8 +203,6 @@ int main(int argc, char** argv) {
       {"java_model_s_per_sample", java_rate},
       {"hadoop_sim_floor_s", SimulateHadoopPi(1, java_rate)}};
   {
-    int64_t samples = 1;
-    for (int i = 0; i < std::min(max_exp, 6); ++i) samples *= 10;
     json_metrics.push_back(
         {"thread_hw_concurrency",
          static_cast<double>(std::thread::hardware_concurrency())});
@@ -210,7 +211,8 @@ int main(int argc, char** argv) {
     double base = -1;
     for (int workers : bench::ScalingWorkerCounts()) {
       std::vector<int64_t> before = bench::SnapshotThreadCounters();
-      double t = RunMrsPi(PiEngine::kNative, samples, "thread", workers);
+      double t =
+          RunMrsPi(PiEngine::kNative, kScalingSamples, "thread", workers);
       if (workers == 1) base = t;
       double speedup = (t > 0 && base > 0) ? base / t : 0;
       scaling.push_back({std::to_string(workers), bench::Fmt("%.3f", t),
@@ -221,7 +223,7 @@ int main(int argc, char** argv) {
       bench::AppendCounterDeltas("thread_w" + w, before, &json_metrics);
     }
     bench::PrintTable("Thread runner scaling (native engine, " +
-                          std::to_string(samples) + " samples)",
+                          std::to_string(kScalingSamples) + " samples)",
                       scaling);
   }
 

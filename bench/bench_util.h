@@ -113,7 +113,6 @@ ThreadScalingCounters() {
       {"mrs.shuffle.deposits", "deposits"},
       {"mrs.shuffle.combine_in", "combine_in"},
       {"mrs.shuffle.combine_out", "combine_out"},
-      {"mrs.thread.pipelined_submits", "pipelined_submits"},
   };
   return kCounters;
 }

@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   // (ideal on >=4 cores, ~1x on one core), so the emitted curve also
   // records thread_hw_concurrency — tools/check_scaling.py only enforces
   // its floors where the cores exist.  Per-worker counter deltas
-  // (steals, deposits, combines, pipelined submits) ride along.
+  // (steals, deposits, combines) ride along.
   {
     std::string dir = JoinPath(*tmp, "subset");
     json_metrics.push_back(

@@ -26,7 +26,7 @@ PyValue ToPy(const Value& v) {
       return PyValue(v.AsDouble());
     case Value::Type::kString:
     case Value::Type::kBytes:
-      return PyValue(v.AsString());
+      return PyValue(std::string(v.AsString()));
     case Value::Type::kList: {
       PyList items;
       items.reserve(v.AsList().size());

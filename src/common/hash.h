@@ -8,15 +8,19 @@
 
 namespace mrs {
 
+/// FNV-1a 64-bit parameters, for hashers that feed bytes incrementally.
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ull;
+
 /// FNV-1a 64-bit over arbitrary bytes.  This is the default partitioner
 /// hash: deterministic across runs (unlike std::hash), so task partitioning
 /// is reproducible — a requirement for the serial/mock/parallel equivalence
 /// invariant.
 constexpr uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ull;
+  uint64_t h = kFnv1a64Offset;
   for (char c : data) {
     h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
+    h *= kFnv1a64Prime;
   }
   return h;
 }

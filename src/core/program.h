@@ -7,7 +7,10 @@
 //   class WordCount : public mrs::MapReduce {
 //    public:
 //     void Map(const Value& key, const Value& value, const Emitter& emit) override {
-//       for (auto word : SplitWhitespace(value.AsString())) emit(Value(word), Value(1));
+//       // AsString() is a std::string_view into the Value: no copy.
+//       for (std::string_view word : SplitWhitespace(value.AsString())) {
+//         emit(Value(word), Value(1));
+//       }
 //     }
 //     void Reduce(const Value& key, const ValueList& values, const ValueEmitter& emit) override {
 //       int64_t sum = 0;

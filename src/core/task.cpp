@@ -189,7 +189,7 @@ Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
     size_t j = i;
     ValueList values;
     while (j < records.size() && records[j].key == records[i].key) {
-      values.push_back(records[j].value);
+      values.push_back(std::move(records[j].value));
       ++j;
     }
     const Value& key = records[i].key;

@@ -30,13 +30,6 @@ obs::Counter* TasksCounter() {
       obs::Registry::Instance().GetCounter("mrs.thread.tasks");
   return c;
 }
-/// Downstream tasks submitted while their upstream stage still had an
-/// unfinished task body (the last one publishing its row).
-obs::Counter* PipelinedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Instance().GetCounter("mrs.thread.pipelined_submits");
-  return c;
-}
 obs::Counter* DepositCounter() {
   static obs::Counter* c =
       obs::Registry::Instance().GetCounter("mrs.shuffle.deposits");
@@ -396,10 +389,6 @@ void ThreadRunner::CompleteTask(const std::shared_ptr<ChainContext>& ctx,
 void ThreadRunner::Arrive(const std::shared_ptr<ChainContext>& ctx,
                           Stage* consumer, int n) {
   if (!consumer->board->ArriveAll(n)) return;
-  if (consumer->upstream->bodies_remaining.load(std::memory_order_acquire) >
-      0) {
-    PipelinedCounter()->Inc(static_cast<int64_t>(consumer->pending.size()));
-  }
   for (int s : consumer->pending) SubmitTask(ctx, consumer, s);
 }
 

@@ -89,7 +89,7 @@ Result<bool> Job::waitForCompletion(bool verbose) {
       input_bytes += static_cast<int64_t>(content.size());
       for (const KeyValue& kv : LinesToRecords(content)) {
         LongWritable key(kv.key.AsInt());
-        Text value(kv.value.AsString());
+        Text value(std::string(kv.value.AsString()));
         mapper->map(key, value, context);
       }
     }
@@ -108,7 +108,7 @@ Result<bool> Job::waitForCompletion(bool verbose) {
         values.emplace_back(records[j].value.AsInt());
         ++j;
       }
-      Text key(records[i].key.AsString());
+      Text key(std::string(records[i].key.AsString()));
       reducer.reduce(key, values, context);
       i = j;
     }

@@ -40,7 +40,7 @@ class CountProgram : public MapReduce {
 std::map<std::string, int64_t> ToCounts(const std::vector<KeyValue>& records) {
   std::map<std::string, int64_t> counts;
   for (const KeyValue& kv : records) {
-    counts[kv.key.AsString()] += kv.value.AsInt();
+    counts[std::string(kv.key.AsString())] += kv.value.AsInt();
   }
   return counts;
 }
@@ -213,7 +213,7 @@ TEST(Tasks, ReduceTaskGroupsAndPartitions) {
   std::map<std::string, int64_t> counts;
   for (const Bucket& b : *row) {
     for (const KeyValue& kv : b.records()) {
-      counts[kv.key.AsString()] = kv.value.AsInt();
+      counts[std::string(kv.key.AsString())] = kv.value.AsInt();
     }
   }
   EXPECT_EQ(counts.at("a"), 2);

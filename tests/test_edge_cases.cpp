@@ -141,7 +141,7 @@ TEST(EdgeCases, LargeValuesThroughRealRpcDataPlane) {
    public:
     void Map(const Value& key, const Value& value,
              const Emitter& emit) override {
-      emit(key, Value(value.AsString() + "!"));
+      emit(key, Value(std::string(value.AsString()) + "!"));
     }
     Status Run(Job& job) override {
       std::string big(1 << 20, 'x');

@@ -304,7 +304,7 @@ TEST_F(JavaApiTest, WordCountExecutesAndSimulates) {
 
   std::map<std::string, int64_t> counts;
   for (const KeyValue& kv : (*job)->output()) {
-    counts[kv.key.AsString()] = kv.value.AsInt();
+    counts[std::string(kv.key.AsString())] = kv.value.AsInt();
   }
   EXPECT_EQ(counts.at("alpha"), 2);
   EXPECT_EQ(counts.at("beta"), 2);

@@ -159,9 +159,10 @@ class BroadcastEcho : public MapReduce {
   void Reduce(const Value& key, const ValueList& values,
               const ValueEmitter& emit) override {
     (void)key;
-    std::string seen =
-        HasBroadcast() ? Broadcast().AsString() : std::string("none");
-    for (const Value& v : values) emit(Value(v.AsString() + "/" + seen));
+    std::string seen(HasBroadcast() ? Broadcast().AsString() : "none");
+    for (const Value& v : values) {
+      emit(Value(std::string(v.AsString()) + "/" + seen));
+    }
   }
   Status Run(Job& job) override {
     std::vector<KeyValue> rows;
@@ -182,7 +183,7 @@ class BroadcastEcho : public MapReduce {
     for (const KeyValue& kv : plain) {
       if (kv.value.AsString() != "none/none") {
         return InternalError("broadcast leaked into a bare op: " +
-                             kv.value.AsString());
+                             std::string(kv.value.AsString()));
       }
     }
     return Status::Ok();

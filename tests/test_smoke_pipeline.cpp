@@ -44,7 +44,7 @@ std::vector<KeyValue> SampleInput() {
 std::map<std::string, int64_t> ToCounts(const std::vector<KeyValue>& records) {
   std::map<std::string, int64_t> counts;
   for (const KeyValue& kv : records) {
-    counts[kv.key.AsString()] += kv.value.AsInt();
+    counts[std::string(kv.key.AsString())] += kv.value.AsInt();
   }
   return counts;
 }

@@ -752,7 +752,7 @@ TEST(DistSort, PartitionIsMonotoneInTheKeyForAnySplitCount) {
   std::vector<std::string> keys = {"", "0", "AAAA", "ZZZZ", "aaaa", "zzzz"};
   for (int t = 0; t < program.config.tasks; ++t) {
     for (const KeyValue& kv : program.TaskRecords(t)) {
-      keys.push_back(kv.key.AsString());
+      keys.emplace_back(kv.key.AsString());
     }
   }
   std::sort(keys.begin(), keys.end());
