@@ -140,6 +140,9 @@ Result<PyValue> ApplyBinary(BinOp op, const PyValue& a, const PyValue& b) {
           return PyValue(std::floor(a.AsFloat() / b.AsFloat()));
         }
         if (b.AsInt() == 0) return InvalidArgumentError("division by zero");
+        if (PyFloorDivOverflows(a.AsInt(), b.AsInt())) {
+          return InvalidArgumentError("integer overflow");
+        }
         return PyValue(PyFloorDivInt(a.AsInt(), b.AsInt()));
       }
       return TypeError("//", a, b);

@@ -3,11 +3,14 @@
 // Both engines — the tree-walking interpreter ("CPython" stand-in) and the
 // bytecode VM ("PyPy" stand-in) — operate on PyValue and must agree
 // exactly; the operator semantics follow Python: / is true division,
-// // floors, % takes the sign of the divisor, int+int stays int.
+// // floors, % takes the sign of the divisor, int+int stays int.  Ints
+// are int64, so INT64_MIN // -1 (Python's 2^63) is a runtime error,
+// "integer overflow", and x % -1 is 0 for every x.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,16 +91,43 @@ Result<PyValue> CallBuiltin(const std::string& name,
                             std::vector<PyValue>& args);
 bool IsBuiltin(const std::string& name);
 
-// Exact integer semantics shared between ApplyBinary and the VM's inline
-// fast paths (Python floor division / sign-of-divisor modulo).
+// Exact integer semantics shared by ApplyBinary, the VM's inline fast
+// paths and the typed tier (Python floor division / sign-of-divisor
+// modulo).  Callers check b != 0 first, and for // also
+// PyFloorDivOverflows: INT64_MIN // -1 is the one quotient int64 cannot
+// hold (it is a runtime error, "integer overflow"; C would trap).
+inline bool PyFloorDivOverflows(int64_t a, int64_t b) {
+  return b == -1 && a == std::numeric_limits<int64_t>::min();
+}
+/// Quotient and remainder together (one hardware divide).  When both
+/// operands lie in [0, 2^32) the C and Python results agree and a 32-bit
+/// unsigned divide, several times cheaper than a 64-bit one, gives both.
+inline void PyDivModInt(int64_t a, int64_t b, int64_t* q, int64_t* m) {
+  if (((static_cast<uint64_t>(a) | static_cast<uint64_t>(b)) >> 32) == 0) {
+    const uint32_t x = static_cast<uint32_t>(a);
+    const uint32_t y = static_cast<uint32_t>(b);
+    *q = x / y;
+    *m = x % y;
+    return;
+  }
+  int64_t qq = a / b;
+  int64_t mm = a % b;
+  if (mm != 0 && ((mm < 0) != (b < 0))) {
+    --qq;
+    mm += b;
+  }
+  *q = qq;
+  *m = mm;
+}
 inline int64_t PyFloorDivInt(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
+  int64_t q, m;
+  PyDivModInt(a, b, &q, &m);
   return q;
 }
 inline int64_t PyModInt(int64_t a, int64_t b) {
-  int64_t m = a % b;
-  if (m != 0 && ((m < 0) != (b < 0))) m += b;
+  if (b == -1) return 0;  // x % -1 == 0; C traps on INT64_MIN % -1
+  int64_t q, m;
+  PyDivModInt(a, b, &q, &m);
   return m;
 }
 /// Python float modulo (sign of the divisor), shared by ApplyBinary and

@@ -87,6 +87,13 @@ class Translator {
     }
 
     ComputeLabels();
+    param_stored_.assign(static_cast<size_t>(fn_.num_params), false);
+    hoisted_.assign(static_cast<size_t>(fn_.num_params), -1);
+    for (const Instruction& ins : fn_.code) {
+      if (ins.op == Op::kStoreLocal && ins.a >= 0 && ins.a < fn_.num_params) {
+        param_stored_[static_cast<size_t>(ins.a)] = true;
+      }
+    }
 
     const int n = static_cast<int>(fn_.code.size());
     tpc_of_.assign(static_cast<size_t>(n), -1);
@@ -113,10 +120,25 @@ class Translator {
       Emit(TOp::kRetNone, 0, 0, 0);
     }
 
+    // Hoisted conversions run once, ahead of everything translated above.
+    std::vector<TInstr> entry;
+    for (int p = 0; p < fn_.num_params; ++p) {
+      const int slot = hoisted_[static_cast<size_t>(p)];
+      if (slot < 0) continue;
+      TInstr cvt;
+      cvt.op = TOp::kCvtIF;
+      cvt.a = slot;
+      cvt.b = p;
+      entry.push_back(cvt);
+    }
+    code_.insert(code_.begin(), entry.begin(), entry.end());
+    const int shift = num_hoisted_;
+    out->num_slots += shift;
+
     for (const auto& [instr, target_pc] : patches_) {
       int tpc = tpc_of_[static_cast<size_t>(target_pc)];
       if (tpc < 0) return false;  // jump into claimed-unreachable code
-      code_[static_cast<size_t>(instr)].a = tpc;
+      code_[static_cast<size_t>(instr + shift)].a = tpc + shift;
     }
 
     out->code = std::move(code_);
@@ -247,8 +269,17 @@ class Translator {
 
   /// Slot holding `d` as a double, emitting kCvtIF for int-likes.  The
   /// scratch slot is the canonical slot of stack position `scratch_pos`.
+  /// An int parameter that is never stored to reads the slot its entry
+  /// conversion fills instead.
   int FloatSlot(Desc* d, size_t scratch_pos) {
     if (d->type == ValueType::kFloat) return HomeSlot(d);
+    if (d->kind == Desc::Kind::kSlot && d->slot < fn_.num_params &&
+        !param_stored_[static_cast<size_t>(d->slot)] &&
+        IsIntLike(facts_.params[static_cast<size_t>(d->slot)])) {
+      int& slot = hoisted_[static_cast<size_t>(d->slot)];
+      if (slot < 0) slot = fn_.num_locals + fn_.max_stack + num_hoisted_++;
+      return slot;
+    }
     const int src = HomeSlot(d);
     const int target = canon(scratch_pos);
     Emit(TOp::kCvtIF, target, src, 0);
@@ -530,9 +561,11 @@ class Translator {
           imm_op = TOp::kDivIFC;
           reg_op = TOp::kDivIF;
         }
-        // The const form elides the zero check, so a constant-zero
-        // divisor must keep the register form (and its runtime error).
-        if (b_const && b->ival != 0) {
+        // The const form elides the zero and overflow checks, so a
+        // constant-zero divisor, and -1 under //, keep the register form
+        // (and its runtime error).
+        if (b_const && b->ival != 0 &&
+            !(op == BinOp::kFloorDiv && b->ival == -1)) {
           EmitImm(imm_op, dst, HomeSlot(a), Slot{.i = b->ival});
         } else {
           const int sa = HomeSlot(a);
@@ -731,7 +764,180 @@ class Translator {
   std::vector<int> tpc_of_;
   std::vector<std::pair<int, int>> patches_;  // (tinstr index, bytecode pc)
   int last_write_ = -1;
+  std::vector<bool> param_stored_;  // per parameter: some kStoreLocal hits it
+  std::vector<int> hoisted_;        // per parameter: its double slot, or -1
+  int num_hoisted_ = 0;
 };
+
+// ---- Peephole passes over translated code --------------------------------
+
+bool IsBranch(TOp op) {
+  switch (op) {
+    case TOp::kJump:
+    case TOp::kBrFalseI: case TOp::kBrFalseF:
+    case TOp::kBrTrueI: case TOp::kBrTrueF:
+    case TOp::kBrCmpFalseI: case TOp::kBrCmpFalseF:
+    case TOp::kBrCmpFalseIC: case TOp::kBrCmpFalseFC:
+    case TOp::kBrCmpTrueI: case TOp::kBrCmpTrueF:
+    case TOp::kBrCmpTrueIC: case TOp::kBrCmpTrueFC:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The compare-branch taken exactly when `op` falls through, or kRetNone.
+TOp InvertedBranch(TOp op) {
+  switch (op) {
+    case TOp::kBrCmpFalseI: return TOp::kBrCmpTrueI;
+    case TOp::kBrCmpFalseF: return TOp::kBrCmpTrueF;
+    case TOp::kBrCmpFalseIC: return TOp::kBrCmpTrueIC;
+    case TOp::kBrCmpFalseFC: return TOp::kBrCmpTrueFC;
+    default: return TOp::kRetNone;
+  }
+}
+
+/// The slots an instruction reads and writes, for instructions that can
+/// neither raise nor transfer control; `simple` is false for all others.
+struct SlotUse {
+  bool simple = false;
+  int32_t write = -1;
+  int32_t read1 = -1;
+  int32_t read2 = -1;
+  bool Touches(int32_t slot) const {
+    return write == slot || read1 == slot || read2 == slot;
+  }
+};
+
+SlotUse UseOf(const TInstr& t) {
+  SlotUse u;
+  switch (t.op) {
+    case TOp::kLoadI: case TOp::kLoadF:
+    case TOp::kLoadGI: case TOp::kLoadGF:
+      u.write = t.a;
+      break;
+    case TOp::kMov: case TOp::kCvtIF:
+    case TOp::kNegI: case TOp::kNegF: case TOp::kNotI: case TOp::kNotF:
+    case TOp::kAddIC: case TOp::kSubIC: case TOp::kMulIC:
+    case TOp::kFloorDivIC: case TOp::kModIC: case TOp::kDivIFC:
+    case TOp::kRSubIC: case TOp::kAddFC: case TOp::kSubFC: case TOp::kMulFC:
+    case TOp::kDivFC: case TOp::kRSubFC:
+    case TOp::kCmpIC: case TOp::kCmpFC:
+      u.write = t.a;
+      u.read1 = t.b;
+      break;
+    case TOp::kAddI: case TOp::kSubI: case TOp::kMulI:
+    case TOp::kAddF: case TOp::kSubF: case TOp::kMulF:
+    case TOp::kCmpI: case TOp::kCmpF:
+      u.write = t.a;
+      u.read1 = t.b;
+      u.read2 = t.c;
+      break;
+    default:
+      return u;  // raises, branches, calls or returns
+  }
+  u.simple = true;
+  return u;
+}
+
+/// Fuse `x % y` with a later `x // y` (or the reverse) into one kDivModI
+/// at the first op's place, marking the second dead.  Legal when only
+/// simple instructions lie between them, none of them a branch target,
+/// none writing x or y, and none touching the slot the second op writes
+/// (that write now happens earlier).  A zero divisor still reports the
+/// first op's error; INT64_MIN // -1 reports "integer overflow" either
+/// way, and nothing between the two can observe the difference.
+void FuseDivMod(std::vector<TInstr>* code, const std::vector<bool>& is_target,
+                std::vector<bool>* dead) {
+  const size_t n = code->size();
+  for (size_t i = 0; i < n; ++i) {
+    TInstr& first = (*code)[i];
+    if ((*dead)[i]) continue;
+    if (first.op != TOp::kModI && first.op != TOp::kFloorDivI) continue;
+    if (first.a == first.b || first.a == first.c) continue;
+    const bool mod_first = first.op == TOp::kModI;
+    const TOp partner = mod_first ? TOp::kFloorDivI : TOp::kModI;
+    for (size_t j = i + 1; j < n && !is_target[j]; ++j) {
+      if ((*dead)[j]) continue;  // a dropped jump to the next instruction
+      const TInstr& second = (*code)[j];
+      if (second.op == partner && second.b == first.b &&
+          second.c == first.c) {
+        bool clear = second.a != first.a;
+        for (size_t k = i + 1; clear && k < j; ++k) {
+          clear = !UseOf((*code)[k]).Touches(second.a);
+        }
+        if (clear) {
+          const int32_t quotient = mod_first ? second.a : first.a;
+          const int32_t remainder = mod_first ? first.a : second.a;
+          first.op = TOp::kDivModI;
+          first.cmp = mod_first ? BinOp::kMod : BinOp::kFloorDiv;
+          first.a = quotient;
+          first.imm.i = remainder;
+          (*dead)[j] = true;
+        }
+        break;
+      }
+      const SlotUse use = UseOf(second);
+      if (!use.simple || use.write == first.b || use.write == first.c) break;
+    }
+  }
+}
+
+/// Drop the instructions marked dead and renumber branch targets; a
+/// branch to a dropped instruction lands on the one that followed it.
+void Compact(std::vector<TInstr>* code, const std::vector<bool>& dead) {
+  std::vector<int32_t> new_index(code->size() + 1);
+  int32_t kept = 0;
+  for (size_t i = 0; i < code->size(); ++i) {
+    new_index[i] = kept;
+    if (!dead[i]) ++kept;
+  }
+  new_index[code->size()] = kept;
+  size_t out = 0;
+  for (size_t i = 0; i < code->size(); ++i) {
+    if (dead[i]) continue;
+    TInstr t = (*code)[i];
+    if (IsBranch(t.op)) t.a = new_index[static_cast<size_t>(t.a)];
+    (*code)[out++] = t;
+  }
+  code->resize(out);
+}
+
+/// Post-translation peephole: fuse `%`/`//` pairs, drop jumps to the next
+/// instruction, then rotate loops.  A loop translates as
+///   head: kBrCmpFalse* cond -> exit;  body ...;  kJump head;  exit:
+/// and the back-edge kJump becomes the inverse compare-branch straight
+/// into the body, so each iteration dispatches one branch, not two.
+void Peephole(std::vector<TInstr>* code) {
+  std::vector<bool> is_target(code->size() + 1, false);
+  std::vector<bool> dead(code->size(), false);
+  for (size_t i = 0; i < code->size(); ++i) {
+    const TInstr& t = (*code)[i];
+    if (!IsBranch(t.op)) continue;
+    is_target[static_cast<size_t>(t.a)] = true;
+    if (t.op == TOp::kJump && static_cast<size_t>(t.a) == i + 1) {
+      dead[i] = true;
+    }
+  }
+  FuseDivMod(code, is_target, &dead);
+  Compact(code, dead);
+
+  for (size_t j = 0; j < code->size(); ++j) {
+    TInstr& jump = (*code)[j];
+    if (jump.op != TOp::kJump) continue;
+    const size_t head_at = static_cast<size_t>(jump.a);
+    const TInstr& head = (*code)[head_at];
+    const TOp inverted = InvertedBranch(head.op);
+    if (inverted == TOp::kRetNone ||
+        static_cast<size_t>(head.a) != j + 1 ||
+        head_at + 1 >= code->size()) {
+      continue;
+    }
+    jump = head;
+    jump.op = inverted;
+    jump.a = static_cast<int32_t>(head_at + 1);
+  }
+}
 
 }  // namespace
 
@@ -744,6 +950,8 @@ TypedModule BuildTypedModule(const CompiledModule& module,
     if (!tr.Translate(&typed.functions[i])) {
       typed.functions[i].eligible = false;
       typed.functions[i].code.clear();
+    } else {
+      Peephole(&typed.functions[i].code);
     }
   }
   // Direct calls were emitted assuming the callee would translate; where

@@ -9,7 +9,9 @@
 // collapse into one three-address instruction (the superinstruction
 // fusion the ROADMAP asks for), compare+branch pairs fuse into a single
 // conditional branch, and a store retargets its producer's destination
-// instead of emitting a move.
+// instead of emitting a move.  An int parameter the function never
+// stores to is converted to double once at entry, into a slot of its
+// own, rather than by a kCvtIF at each float use.
 //
 // Safety model: claims come from a TypeFactTable that passed
 // CheckTypeFacts, and are conditional on the function's entry guard
@@ -50,17 +52,24 @@ enum class TOp : uint8_t {
 
   // Three-address arithmetic: a = b OP c.
   kAddI, kSubI, kMulI,
-  kFloorDivI, kModI,  // zero-checked: "division by zero"/"modulo by zero"
+  kFloorDivI, kModI,  // zero-checked: "division by zero"/"modulo by zero";
+                      // INT64_MIN // -1 is "integer overflow"
+  // a = b // c and slot imm.i = b % c, from a kModI and a kFloorDivI on
+  // the same operands fused by BuildTypedModule.  cmp holds whichever op
+  // came first in the source (kMod or kFloorDiv), whose zero-divisor
+  // error this reports.
+  kDivModI,
   kDivIF,             // int / int -> double (true division, zero-checked)
   kAddF, kSubF, kMulF,
   kFloorDivF, kModF,  // float floor-div / fmod semantics, zero-checked
   kDivF,
 
   // Constant-folded right operand: a = b OP imm.  Emitted only where the
-  // constant makes the op total (divisor consts are never 0 here — a
-  // constant-zero divisor keeps the register form and its runtime error).
+  // constant makes the op total (divisor consts are never 0 here, nor -1
+  // for //: such divisors keep the register form and its runtime error).
   kAddIC, kSubIC, kMulIC,
-  kFloorDivIC, kModIC, kDivIFC,   // imm.i != 0 by construction
+  kFloorDivIC,                    // imm.i not in {0, -1} by construction
+  kModIC, kDivIFC,                // imm.i != 0 by construction
   kRSubIC,                        // a = imm.i - b
   kAddFC, kSubFC, kMulFC, kDivFC, // imm.d != 0.0 for kDivFC
   kRSubFC, kRDivFC,               // imm.d OP b (slot divisor zero-checked)
@@ -87,6 +96,11 @@ enum class TOp : uint8_t {
   // comparisons branch exactly like kCmp*+kBrFalseI would.
   kBrCmpFalseI, kBrCmpFalseF,
   kBrCmpFalseIC, kBrCmpFalseFC,
+  // Jump when (b CMP c/imm) is TRUE: the rotated loop back-edge.  A
+  // `kJump` to a loop-head kBrCmpFalse* that exits to the instruction
+  // right after the jump becomes the inverse branch into the loop body.
+  kBrCmpTrueI, kBrCmpTrueF,
+  kBrCmpTrueIC, kBrCmpTrueFC,
 
   // Calls.  Arguments sit in consecutive slots starting at c; the result
   // lands in a.  kCallT enters another typed function directly (guard
@@ -122,7 +136,7 @@ struct TypedFunction {
   std::string name;
   int num_params = 0;
   int num_locals = 0;
-  int num_slots = 0;  // locals + operand-stack area
+  int num_slots = 0;  // locals + operand-stack area + hoisted conversions
   ValueType ret = ValueType::kNone;
   /// Entry guard (== FunctionFacts::params / global_reads of the checked
   /// table); the VM re-checks these against live values on every entry
@@ -139,7 +153,9 @@ struct TypedModule {
 
 /// Translate every provably-numeric function.  `table` must have passed
 /// CheckTypeFacts against `module`; functions that fail any eligibility
-/// rule come back with eligible == false (and empty code).
+/// rule come back with eligible == false (and empty code).  After
+/// translation a peephole pass fuses `%` and `//` pairs into kDivModI,
+/// drops jumps to the next instruction, and rotates loops (kBrCmpTrue*).
 TypedModule BuildTypedModule(const CompiledModule& module,
                              const TypeFactTable& table);
 

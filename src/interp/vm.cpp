@@ -239,8 +239,9 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
   static const void* kLabels[] = {
       &&lbl_kLoadI, &&lbl_kLoadF, &&lbl_kMov, &&lbl_kCvtIF, &&lbl_kLoadGI,
       &&lbl_kLoadGF, &&lbl_kAddI, &&lbl_kSubI, &&lbl_kMulI,
-      &&lbl_kFloorDivI, &&lbl_kModI, &&lbl_kDivIF, &&lbl_kAddF,
-      &&lbl_kSubF, &&lbl_kMulF, &&lbl_kFloorDivF, &&lbl_kModF, &&lbl_kDivF,
+      &&lbl_kFloorDivI, &&lbl_kModI, &&lbl_kDivModI, &&lbl_kDivIF,
+      &&lbl_kAddF, &&lbl_kSubF, &&lbl_kMulF, &&lbl_kFloorDivF, &&lbl_kModF,
+      &&lbl_kDivF,
       &&lbl_kAddIC, &&lbl_kSubIC, &&lbl_kMulIC, &&lbl_kFloorDivIC,
       &&lbl_kModIC, &&lbl_kDivIFC, &&lbl_kRSubIC, &&lbl_kAddFC,
       &&lbl_kSubFC, &&lbl_kMulFC, &&lbl_kDivFC, &&lbl_kRSubFC,
@@ -248,8 +249,9 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
       &&lbl_kCmpI, &&lbl_kCmpF, &&lbl_kCmpIC, &&lbl_kCmpFC, &&lbl_kJump,
       &&lbl_kBrFalseI, &&lbl_kBrFalseF, &&lbl_kBrTrueI, &&lbl_kBrTrueF,
       &&lbl_kBrCmpFalseI, &&lbl_kBrCmpFalseF, &&lbl_kBrCmpFalseIC,
-      &&lbl_kBrCmpFalseFC, &&lbl_kCallT, &&lbl_kCallG, &&lbl_kRet,
-      &&lbl_kRetImm, &&lbl_kRetNone,
+      &&lbl_kBrCmpFalseFC, &&lbl_kBrCmpTrueI, &&lbl_kBrCmpTrueF,
+      &&lbl_kBrCmpTrueIC, &&lbl_kBrCmpTrueFC, &&lbl_kCallT, &&lbl_kCallG,
+      &&lbl_kRet, &&lbl_kRetImm, &&lbl_kRetNone,
   };
   goto* kLabels[static_cast<size_t>(ins->op)];
 #else
@@ -286,15 +288,28 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
   OP(kSubI) { frame[ins->a].i = frame[ins->b].i - frame[ins->c].i; } NEXT();
   OP(kMulI) { frame[ins->a].i = frame[ins->b].i * frame[ins->c].i; } NEXT();
   OP(kFloorDivI) {
+    const int64_t x = frame[ins->b].i;
     const int64_t y = frame[ins->c].i;
     if (y == 0) return runtime_error("division by zero");
-    frame[ins->a].i = PyFloorDivInt(frame[ins->b].i, y);
+    if (PyFloorDivOverflows(x, y)) return runtime_error("integer overflow");
+    frame[ins->a].i = PyFloorDivInt(x, y);
   }
   NEXT();
   OP(kModI) {
     const int64_t y = frame[ins->c].i;
     if (y == 0) return runtime_error("modulo by zero");
     frame[ins->a].i = PyModInt(frame[ins->b].i, y);
+  }
+  NEXT();
+  OP(kDivModI) {
+    const int64_t x = frame[ins->b].i;
+    const int64_t y = frame[ins->c].i;
+    if (y == 0) {
+      return runtime_error(ins->cmp == BinOp::kMod ? "modulo by zero"
+                                                   : "division by zero");
+    }
+    if (PyFloorDivOverflows(x, y)) return runtime_error("integer overflow");
+    PyDivModInt(x, y, &frame[ins->a].i, &frame[ins->imm.i].i);
   }
   NEXT();
   OP(kDivIF) {
@@ -414,6 +429,22 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
     if (!EvalCmpF(ins->cmp, frame[ins->b].d, ins->imm.d)) JUMP_TO(ins->a);
   }
   NEXT();
+  OP(kBrCmpTrueI) {
+    if (EvalCmpI(ins->cmp, frame[ins->b].i, frame[ins->c].i)) JUMP_TO(ins->a);
+  }
+  NEXT();
+  OP(kBrCmpTrueF) {
+    if (EvalCmpF(ins->cmp, frame[ins->b].d, frame[ins->c].d)) JUMP_TO(ins->a);
+  }
+  NEXT();
+  OP(kBrCmpTrueIC) {
+    if (EvalCmpI(ins->cmp, frame[ins->b].i, ins->imm.i)) JUMP_TO(ins->a);
+  }
+  NEXT();
+  OP(kBrCmpTrueFC) {
+    if (EvalCmpF(ins->cmp, frame[ins->b].d, ins->imm.d)) JUMP_TO(ins->a);
+  }
+  NEXT();
 
   OP(kCallT) {
     const TypedFunction& callee =
@@ -522,6 +553,9 @@ Result<PyValue> Vm::RunFunction(const CompiledFunction& fn,
             case BinOp::kMul: a = PyValue(x * y); continue;
             case BinOp::kFloorDiv:
               if (y == 0) return runtime_error("division by zero");
+              if (PyFloorDivOverflows(x, y)) {
+                return runtime_error("integer overflow");
+              }
               a = PyValue(PyFloorDivInt(x, y));
               continue;
             case BinOp::kMod:

@@ -4,6 +4,11 @@
 // CPython/PyPy stand-ins and must agree exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "interp/compiler.h"
 #include "interp/lexer.h"
 #include "interp/parser.h"
@@ -278,6 +283,81 @@ TEST(Engines, DivisionByZeroIsError) {
   Vm vm;
   ASSERT_TRUE(vm.LoadSource(src).ok());
   EXPECT_FALSE(vm.Call("f", {PyValue(int64_t{0})}).ok());
+}
+
+// INT64_MIN // -1 has no int64 answer (C traps on it, killing the process
+// with SIGFPE); both engines report "integer overflow" instead.  x % -1
+// is 0 for every x, INT64_MIN included.
+TEST(Engines, Int64MinFloorDivMinusOneIsOverflowError) {
+  const char* src = "def f(a, b):\n    return a // b\n";
+  const std::vector<PyValue> args = {
+      PyValue(std::numeric_limits<int64_t>::min()), PyValue(int64_t{-1})};
+  const std::string want = ": integer overflow";
+  TreeWalker walker;
+  ASSERT_TRUE(walker.LoadSource(src).ok());
+  auto tw = walker.Call("f", args);
+  ASSERT_FALSE(tw.ok());
+  EXPECT_TRUE(tw.status().message().ends_with(want)) << tw.status().message();
+  Vm vm;
+  ASSERT_TRUE(vm.LoadSource(src).ok());
+  auto bc = vm.Call("f", args);
+  ASSERT_FALSE(bc.ok());
+  EXPECT_EQ(bc.status().message(), "in f" + want);
+  // Every other -1 quotient is an ordinary negation.
+  auto neg = vm.Call("f", {PyValue(std::numeric_limits<int64_t>::max()),
+                           PyValue(int64_t{-1})});
+  ASSERT_TRUE(neg.ok());
+  EXPECT_EQ(neg->Repr(), "-9223372036854775807");
+}
+
+TEST(Engines, ModuloByMinusOneIsZero) {
+  const char* src = "def f(a, b):\n    return a % b\n";
+  TreeWalker walker;
+  ASSERT_TRUE(walker.LoadSource(src).ok());
+  Vm vm;
+  ASSERT_TRUE(vm.LoadSource(src).ok());
+  for (int64_t a : {std::numeric_limits<int64_t>::min(), int64_t{-7},
+                    int64_t{0}, int64_t{7}}) {
+    const std::vector<PyValue> args = {PyValue(a), PyValue(int64_t{-1})};
+    auto tw = walker.Call("f", args);
+    auto bc = vm.Call("f", args);
+    ASSERT_TRUE(tw.ok()) << a;
+    ASSERT_TRUE(bc.ok()) << a;
+    EXPECT_EQ(tw->Repr(), "0") << a;
+    EXPECT_EQ(bc->Repr(), "0") << a;
+  }
+}
+
+// Operands in [0, 2^32) divide as uint32_t; at and past the boundary,
+// and with either sign, the results stay Python's.
+TEST(Engines, FloorDivAndModAgreeAcrossTheThirtyTwoBitBoundary) {
+  const char* src = "def f(a, b):\n    return [a // b, a % b]\n";
+  TreeWalker walker;
+  ASSERT_TRUE(walker.LoadSource(src).ok());
+  Vm vm;
+  ASSERT_TRUE(vm.LoadSource(src).ok());
+  struct Case {
+    int64_t a, b;
+    const char* want;
+  };
+  const Case cases[] = {
+      {4294967295, 7, "[613566756, 3]"},         // 2^32 - 1
+      {4294967296, 7, "[613566756, 4]"},         // 2^32
+      {4294967295, 4294967295, "[1, 0]"},
+      {4294967296, 4294967295, "[1, 1]"},
+      {-7, 2, "[-4, 1]"},
+      {7, -2, "[-4, -1]"},
+      {-4294967296, 3, "[-1431655766, 2]"},
+      {1099511627776, -3, "[-366503875926, -2]"},  // 2^40
+  };
+  for (const Case& c : cases) {
+    auto tw = walker.Call("f", {PyValue(c.a), PyValue(c.b)});
+    auto bc = vm.Call("f", {PyValue(c.a), PyValue(c.b)});
+    ASSERT_TRUE(tw.ok()) << c.a << " " << c.b;
+    ASSERT_TRUE(bc.ok()) << c.a << " " << c.b;
+    EXPECT_EQ(tw->Repr(), c.want) << c.a << " " << c.b;
+    EXPECT_EQ(bc->Repr(), c.want) << c.a << " " << c.b;
+  }
 }
 
 TEST(Engines, IndexOutOfRangeIsError) {
