@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: value
 // serialization and hashing, the record format, sort+group, spill-run
-// reads, XML-RPC framing, Halton generation, and the MiniPy engines — the
-// per-sample rates behind Fig 3.
+// reads, the content checksum, XML-RPC framing, Halton generation, the
+// MiniPy engines (the per-sample rates behind Fig 3) and random draws.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -10,6 +10,7 @@
 #include "fs/spill.h"
 #include "halton/halton.h"
 #include "halton/pi_kernel.h"
+#include "http/message.h"
 #include "interp/treewalk.h"
 #include "interp/vm.h"
 #include "rng/mt19937_64.h"
@@ -193,6 +194,28 @@ void BM_MT19937_64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MT19937_64);
+
+// One DistSort character: a draw reduced to the 62-letter alphabet.
+void BM_MT19937_64_NextBounded62(benchmark::State& state) {
+  MT19937_64 rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.NextBounded(62));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MT19937_64_NextBounded62);
+
+// The wire and spill-run checksum over one bucket body.
+void BM_ContentChecksum(benchmark::State& state) {
+  std::string body(static_cast<size_t>(state.range(0)), '\0');
+  MT19937_64 rng(9);
+  for (char& c : body) c = static_cast<char>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ContentChecksum(body));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContentChecksum)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace mrs

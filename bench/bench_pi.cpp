@@ -32,6 +32,7 @@ namespace {
 constexpr int kNumSlaves = 4;
 constexpr int kMapTasks = 10;  // Hadoop PiEstimator's default
 constexpr int64_t kScalingSamples = 5000000;  // thread-scaling cell size
+constexpr int kCalibrationRuns = 5;
 
 /// Real speedup available to the in-process cluster (slaves are threads).
 double EffectiveParallelism() {
@@ -40,13 +41,22 @@ double EffectiveParallelism() {
   return static_cast<double>(std::min<unsigned>(kNumSlaves, hw));
 }
 
-/// Measured per-sample seconds for an engine (calibration run).
+/// Measured per-sample seconds for an engine: `samples` split over
+/// kCalibrationRuns runs, and the fastest run's rate.  One run's time
+/// spreads by more than the regression gate's bound on a shared machine;
+/// the minimum is what the engine costs when nothing else gets in its way.
 double CalibrateRate(PiEngine engine, uint64_t samples) {
   auto kernel = PiKernel::Create(engine);
   if (!kernel.ok()) return -1;
-  Stopwatch watch;
-  (void)(*kernel)->CountInside(0, samples);
-  return watch.ElapsedSeconds() / static_cast<double>(samples);
+  const uint64_t per_run = samples / kCalibrationRuns;
+  double best = -1;
+  for (int run = 0; run < kCalibrationRuns; ++run) {
+    Stopwatch watch;
+    (void)(*kernel)->CountInside(0, per_run);
+    double seconds = watch.ElapsedSeconds();
+    if (best < 0 || seconds < best) best = seconds;
+  }
+  return best / static_cast<double>(per_run);
 }
 
 /// One real Mrs run (masterslave by default); returns wall seconds.

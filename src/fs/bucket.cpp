@@ -130,6 +130,19 @@ std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames) {
   return std::string(reinterpret_cast<const char*>(out.data()), out.size());
 }
 
+std::string EncodeBucketFrameHeader(std::string_view id,
+                                    std::string_view checksum,
+                                    size_t data_size) {
+  Bytes out;
+  ByteWriter w(&out);
+  w.PutRaw(kBucketFramesFormat.data(), kBucketFramesFormat.size());
+  w.PutVarint(1);
+  w.PutLengthPrefixed(id);
+  w.PutLengthPrefixed(checksum);
+  w.PutVarint(data_size);
+  return std::string(out.begin(), out.end());
+}
+
 Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
   if (!StartsWith(body, kBucketFramesFormat)) {
     return DataLossError("bucket frame payload missing mrsk1 magic");

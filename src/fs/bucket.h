@@ -139,6 +139,14 @@ inline constexpr std::string_view kBucketFramesFormat = "mrsk1";
 /// length-prefixed id, checksum, and data.
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames);
 
+/// The bytes EncodeBucketFrames puts before the data of a one-frame set:
+/// magic, a count of 1, the length-prefixed id and checksum, then the
+/// data's length prefix.  Written with the data after it, they make the
+/// same bytes as EncodeBucketFrames({frame}) without copying the data.
+std::string EncodeBucketFrameHeader(std::string_view id,
+                                    std::string_view checksum,
+                                    size_t data_size);
+
 /// Parse and verify an encoded frame set.  Any truncation, bad magic, or
 /// per-frame checksum mismatch is kDataLoss (retryable — the caller
 /// refetches instead of decoding a corrupt body).

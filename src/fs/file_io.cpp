@@ -4,10 +4,12 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,12 +54,27 @@ void SetWriteFileAtomicFaultHook(bool (*hook)(const char* step)) {
 }
 
 Status WriteFileAtomic(const std::string& path, std::string_view content) {
+  return WriteFileAtomic(path, std::span<const std::string_view>(&content, 1));
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const std::string_view> parts) {
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (std::string_view part : parts) {
+    if (!part.empty()) {
+      iov.push_back({const_cast<char*>(part.data()), part.size()});
+    }
+  }
   std::string tmp = path + ".tmp.XXXXXX";
   int fd = ::mkstemp(tmp.data());
   if (fd < 0) return IoErrorFromErrno("mkstemp for " + path, errno);
-  size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n = ::write(fd, content.data() + written, content.size() - written);
+  // writev may stop anywhere, even inside a part: skip what it took and
+  // go on from there.
+  size_t next = 0;
+  while (next < iov.size()) {
+    int count = static_cast<int>(std::min<size_t>(iov.size() - next, IOV_MAX));
+    ssize_t n = ::writev(fd, iov.data() + next, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       int err = errno;
@@ -65,7 +82,15 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
       ::unlink(tmp.c_str());
       return IoErrorFromErrno("write " + tmp, err);
     }
-    written += static_cast<size_t>(n);
+    size_t done = static_cast<size_t>(n);
+    while (next < iov.size() && done >= iov[next].iov_len) {
+      done -= iov[next].iov_len;
+      ++next;
+    }
+    if (done > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + done;
+      iov[next].iov_len -= done;
+    }
   }
   // Flush the temp file's bytes to stable storage *before* rename makes
   // them reachable under `path`: without this, a crash shortly after the

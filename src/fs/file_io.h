@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,11 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// survives a crash) — spill runs and lineage treat these files as
 /// durable recoverable state.
 Status WriteFileAtomic(const std::string& path, std::string_view content);
+/// The same for content given in pieces, written back to back with
+/// writev: a caller holding a small header and a large body need not copy
+/// both into one buffer first.
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const std::string_view> parts);
 
 /// Test hook simulating crash-window failures inside WriteFileAtomic.
 /// Called before each durability step with "fsync", "rename", or

@@ -8,29 +8,13 @@
 #include "common/bytes.h"
 #include "common/strings.h"
 #include "fs/bucket.h"
+#include "http/message.h"
 #include "obs/metrics.h"
 #include "ser/record.h"
 
 namespace mrs {
 
 namespace {
-
-uint64_t Fnv1a64Feed(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string ChecksumString(uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
 obs::Counter* RunsRead() {
   static obs::Counter* c =
@@ -87,12 +71,12 @@ Status SpillRunSource::Open() {
   // single record, so corruption anywhere in the run is kDataLoss at the
   // first Next(), never partially-emitted garbage.  The second pass below
   // re-reads from the page cache; memory stays O(buffer).
-  uint64_t hash = kFnvOffsetBasis;
+  ContentHasher hasher;
   uint64_t left = *payload_len;
   {
     // The head buffer already holds the payload's first bytes.
     size_t in_head = std::min<uint64_t>(head.size() - header_size, left);
-    hash = Fnv1a64Feed(hash, head.data() + header_size, in_head);
+    hasher.Feed(std::string_view(head).substr(header_size, in_head));
     left -= in_head;
   }
   std::string chunk(buffer_bytes_, '\0');
@@ -101,13 +85,13 @@ Status SpillRunSource::Open() {
         std::min<uint64_t>(left, chunk.size()));
     size_t n = std::fread(chunk.data(), 1, want, file_);
     if (n == 0) return Corrupt("truncated payload");
-    hash = Fnv1a64Feed(hash, chunk.data(), n);
+    hasher.Feed(std::string_view(chunk.data(), n));
     left -= n;
   }
   if (std::fread(chunk.data(), 1, 1, file_) != 0) {
     return Corrupt("trailing bytes after frame payload");
   }
-  if (ChecksumString(hash) != *checksum) {
+  if (ContentChecksum(hasher) != *checksum) {
     return Corrupt("payload checksum mismatch");
   }
 

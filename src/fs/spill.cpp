@@ -124,11 +124,12 @@ Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
                                       std::string_view payload,
                                       const std::string& checksum,
                                       bool sorted) {
-  BucketFrame frame;
-  frame.id = id;
-  frame.checksum = checksum;
-  frame.data = std::string(payload);
-  MRS_RETURN_IF_ERROR(WriteFileAtomic(path, EncodeBucketFrames({frame})));
+  // A one-frame mrsk1 set, the payload written straight from the caller's
+  // buffer.
+  const std::string header =
+      EncodeBucketFrameHeader(id, checksum, payload.size());
+  const std::string_view parts[] = {header, payload};
+  MRS_RETURN_IF_ERROR(WriteFileAtomic(path, parts));
   SpillRun run;
   run.path = path;
   run.id = id;

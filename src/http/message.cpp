@@ -81,9 +81,15 @@ HttpResponse HttpResponse::Make(int code, std::string_view reason,
 }
 
 std::string ContentChecksum(std::string_view body) {
+  ContentHasher hasher;
+  hasher.Feed(body);
+  return ContentChecksum(hasher);
+}
+
+std::string ContentChecksum(const ContentHasher& hasher) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(body)));
+                static_cast<unsigned long long>(hasher.Finish()));
   return std::string(buf);
 }
 

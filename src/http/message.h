@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace mrs {
@@ -82,8 +83,11 @@ std::pair<std::string_view, std::string_view> SplitTarget(
 /// or corrupted payload.
 inline constexpr std::string_view kMrsChecksumHeader = "X-Mrs-Checksum";
 
-/// Hex FNV-1a of the payload (cheap, deterministic; not cryptographic).
+/// Hex ContentHasher digest of the payload (cheap, deterministic; not
+/// cryptographic).
 std::string ContentChecksum(std::string_view body);
+/// The same hex form for a payload fed to `hasher` piece by piece.
+std::string ContentChecksum(const ContentHasher& hasher);
 
 /// Content negotiation for mrs's binary wire formats.  A request lists the
 /// formats it accepts as a comma-separated X-Mrs-Format header

@@ -10,6 +10,15 @@ constexpr int kMM = 156;
 constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
 constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ull;  // most significant 33 bits
 constexpr uint64_t kLowerMask = 0x7FFFFFFFull;          // least significant 31 bits
+
+/// One word of the reference twist: the upper bit of `cur`, the lower 31
+/// of `next`, folded into `far`.  The matrix select is a mask, not a
+/// branch: the low bit is a coin flip, so a branch mispredicts half the
+/// time.
+uint64_t TwistWord(uint64_t cur, uint64_t next, uint64_t far) {
+  uint64_t x = (cur & kUpperMask) | (next & kLowerMask);
+  return far ^ (x >> 1) ^ (-(x & 1) & kMatrixA);
+}
 }  // namespace
 
 void MT19937_64::SeedScalar(uint64_t seed) {
@@ -54,31 +63,17 @@ void MT19937_64::SeedByArray(std::span<const uint64_t> keys) {
 }
 
 void MT19937_64::Twist() {
-  for (int i = 0; i < kNN; ++i) {
-    uint64_t x = (mt_[i] & kUpperMask) | (mt_[(i + 1) % kNN] & kLowerMask);
-    mt_[i] = mt_[(i + kMM) % kNN] ^ (x >> 1) ^ ((x & 1) ? kMatrixA : 0ull);
+  // The reference's three modulo-free loops: the same updates, in the same
+  // order, as one loop indexing (i + 1) % NN and (i + MM) % NN.
+  int i = 0;
+  for (; i < kNN - kMM; ++i) {
+    mt_[i] = TwistWord(mt_[i], mt_[i + 1], mt_[i + kMM]);
   }
+  for (; i < kNN - 1; ++i) {
+    mt_[i] = TwistWord(mt_[i], mt_[i + 1], mt_[i + kMM - kNN]);
+  }
+  mt_[kNN - 1] = TwistWord(mt_[kNN - 1], mt_[0], mt_[kMM - 1]);
   mti_ = 0;
-}
-
-uint64_t MT19937_64::NextU64() {
-  if (mti_ >= kNN) Twist();
-  uint64_t x = mt_[mti_++];
-  x ^= (x >> 29) & 0x5555555555555555ull;
-  x ^= (x << 17) & 0x71D67FFFEDA60000ull;
-  x ^= (x << 37) & 0xFFF7EEE000000000ull;
-  x ^= x >> 43;
-  return x;
-}
-
-uint64_t MT19937_64::NextBounded(uint64_t bound) {
-  if (bound <= 1) return 0;
-  // Rejection sampling over the top `bound`-aligned range.
-  uint64_t threshold = (~bound + 1) % bound;  // = 2^64 mod bound
-  while (true) {
-    uint64_t r = NextU64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 double MT19937_64::NextGaussian() {

@@ -30,14 +30,33 @@ class MT19937_64 {
   void SeedScalar(uint64_t seed);
   void SeedByArray(std::span<const uint64_t> keys);
 
-  /// Next uniform 64-bit integer.
-  uint64_t NextU64();
+  /// Next uniform 64-bit integer.  Inline: record generators draw one per
+  /// character, so the call must cost no more than the tempering.
+  uint64_t NextU64() {
+    if (mti_ >= kStateSize) Twist();
+    uint64_t x = mt_[mti_++];
+    x ^= (x >> 29) & 0x5555555555555555ull;
+    x ^= (x << 17) & 0x71D67FFFEDA60000ull;
+    x ^= (x << 37) & 0xFFF7EEE000000000ull;
+    x ^= x >> 43;
+    return x;
+  }
 
   /// Uniform double in [0, 1) with 53-bit resolution (genrand64_real2).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0); }
 
-  /// Uniform integer in [0, bound) via rejection sampling (unbiased).
-  uint64_t NextBounded(uint64_t bound);
+  /// Uniform integer in [0, bound) via rejection sampling (unbiased):
+  /// draws below 2^64 mod bound are rejected.  That threshold is itself
+  /// below `bound`, so a draw r >= bound is accepted without computing it,
+  /// and the threshold's divide is paid only in the rare r < bound case.
+  /// Inlined with a constant bound, `r % bound` becomes a multiply.
+  uint64_t NextBounded(uint64_t bound) {
+    if (bound <= 1) return 0;
+    while (true) {
+      uint64_t r = NextU64();
+      if (r >= bound || r >= (~bound + 1) % bound) return r % bound;
+    }
+  }
 
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }

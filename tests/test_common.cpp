@@ -2,6 +2,8 @@
 // hashing, options parsing, clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -225,6 +227,72 @@ TEST(Hash, SplitMix64IsBijectiveOnSample) {
   std::set<uint64_t> outputs;
   for (uint64_t i = 0; i < 1000; ++i) outputs.insert(SplitMix64(i));
   EXPECT_EQ(outputs.size(), 1000u);
+}
+
+uint64_t ContentHash(std::string_view data) {
+  ContentHasher hasher;
+  hasher.Feed(data);
+  return hasher.Finish();
+}
+
+std::string PatternBytes(size_t n) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<char>((i * 131 + (i >> 8)) & 0xff);
+  }
+  return s;
+}
+
+TEST(ContentHasher, AnyChunkingGivesTheSameValue) {
+  std::mt19937 rng(18);
+  for (size_t size : {0u, 1u, 31u, 32u, 33u, 100u, 5000u}) {
+    const std::string data = PatternBytes(size);
+    const uint64_t whole = ContentHash(data);
+    for (int trial = 0; trial < 20; ++trial) {
+      ContentHasher hasher;
+      size_t at = 0;
+      while (at < data.size()) {
+        size_t n = std::uniform_int_distribution<size_t>(0, 70)(rng);
+        n = std::min(n, data.size() - at);
+        hasher.Feed(std::string_view(data).substr(at, n));
+        at += n;
+        if (trial % 2 == 0) hasher.Feed({});
+      }
+      EXPECT_EQ(hasher.Finish(), whole) << "size " << size;
+    }
+    ContentHasher bytewise;
+    for (char c : data) bytewise.Feed(std::string_view(&c, 1));
+    EXPECT_EQ(bytewise.Finish(), whole) << "size " << size;
+  }
+}
+
+TEST(ContentHasher, EverySingleBitFlipChangesTheValue) {
+  std::string data = PatternBytes(1024);
+  const uint64_t base = ContentHash(data);
+  std::set<uint64_t> seen;
+  for (size_t bit = 0; bit < data.size() * 8; ++bit) {
+    data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+    uint64_t flipped = ContentHash(data);
+    EXPECT_NE(flipped, base) << "bit " << bit;
+    seen.insert(flipped);
+    data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+  }
+  EXPECT_EQ(seen.size(), data.size() * 8);
+}
+
+TEST(ContentHasher, AppendingAZeroByteChangesTheValue) {
+  for (size_t size = 0; size <= 100; ++size) {
+    std::string data = PatternBytes(size);
+    EXPECT_NE(ContentHash(data), ContentHash(data + '\0')) << "size " << size;
+  }
+}
+
+TEST(ContentHasher, GoldenValues) {
+  // The wire checksum: a change here breaks bucket transfers between
+  // peers built from different versions.
+  EXPECT_EQ(ContentHash(""), 0xbbc36d7b4dd13e5aull);
+  EXPECT_EQ(ContentHash("a"), 0xb8e3759dc7dcca95ull);
+  EXPECT_EQ(ContentHash(PatternBytes(1 << 20)), 0x0b03c9f6e0eea113ull);
 }
 
 // ---- Options ---------------------------------------------------------------

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "fs/bucket.h"
 #include "fs/file_io.h"
@@ -40,6 +43,17 @@ TEST_F(FsTest, AtomicWriteReplacesExisting) {
   auto files = ListFilesRecursive(dir_);
   ASSERT_TRUE(files.ok());
   EXPECT_EQ(files->size(), 1u);
+}
+
+TEST_F(FsTest, AtomicWriteOfPartsIsTheirConcatenation) {
+  std::string path = JoinPath(dir_, "parts.bin");
+  const std::string big(3 << 20, 'b');
+  const std::string_view parts[] = {"", "head", "", big, "tail"};
+  ASSERT_TRUE(WriteFileAtomic(path, parts).ok());
+  EXPECT_TRUE(ReadFileToString(path).value() == "head" + big + "tail");
+  ASSERT_TRUE(
+      WriteFileAtomic(path, std::span<const std::string_view>()).ok());
+  EXPECT_EQ(ReadFileToString(path).value(), "");
 }
 
 TEST_F(FsTest, ReadMissingFileIsNotFound) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
@@ -280,6 +281,26 @@ TEST_F(SpillDirTest, EncodedRunMatchesRecordRun) {
   auto back = ReadSpillRun(*run);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(*back == records);
+}
+
+TEST_F(SpillDirTest, RunFileIsTheOneFrameEncoding) {
+  // The run file is written as header + payload parts; its bytes must be
+  // exactly the one-frame mrsk1 set, for an empty payload and for one
+  // whose length prefix needs several varint bytes.
+  std::mt19937 rng(13);
+  for (int n : {0, 3000}) {
+    std::string payload =
+        n == 0 ? std::string() : EncodeBinaryRecords(MakeRecords(rng, n));
+    BucketFrame frame{"ds5/0/" + std::to_string(n), ContentChecksum(payload),
+                      payload};
+    auto run = WriteEncodedSpillRun(Path("frame" + std::to_string(n)),
+                                    frame.id, payload, frame.checksum,
+                                    /*sorted=*/false);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    auto raw = ReadFileToString(run->path);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_TRUE(*raw == EncodeBucketFrames({frame})) << "payload " << n;
+  }
 }
 
 TEST_F(SpillDirTest, StreamingReadWithTinyBufferStraddlesRecords) {
@@ -806,6 +827,30 @@ TEST(DistSort, ExpectedOutputIsSortedAndComplete) {
     EXPECT_EQ(kv.key.AsString().size(),
               static_cast<size_t>(program.config.key_bytes));
   }
+}
+
+TEST(DistSort, GeneratedRecordsMatchGoldenDigest) {
+  // perfbench's distsort_spill oracle comes from this same generator, so
+  // a drift in the random streams would pass the benchmark unnoticed.
+  // The digest (FNV-1a of the binary record encoding) and the first and
+  // last keys were recorded before the generator's kernels were inlined.
+  sort::DistSortProgram program;
+  program.config.tasks = 2;
+  program.config.records_per_task = 300;
+  Options opts;
+  opts.Set("mrs-seed", "2012");
+  ASSERT_TRUE(program.Init(opts).ok());
+  std::vector<KeyValue> records = program.TaskRecords(0);
+  ASSERT_EQ(records.size(), 300u);
+  EXPECT_EQ(records.front().key.AsString(), "3JvQq8edYc");
+  EXPECT_EQ(records.front().value.AsString().substr(0, 20),
+            "w8E5L6ppqLX40w1TE2Dl");
+  EXPECT_EQ(records.back().key.AsString(), "PKmlxJn7bH");
+  std::string encoded = EncodeBinaryRecords(records);
+  EXPECT_EQ(encoded.size(), 31208u);
+  EXPECT_EQ(Fnv1a64(encoded), 0x20cc8f7f43d4fd56ull);
+  EXPECT_EQ(Fnv1a64(EncodeBinaryRecords(program.TaskRecords(1))),
+            0xe9ae50e24202df50ull);
 }
 
 // ---- Budgeted end-to-end -------------------------------------------------
